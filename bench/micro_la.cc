@@ -7,12 +7,12 @@
 //   micro_la                  eigensolver + GEMM harness, all google-benchmarks
 //   micro_la --smoke          harness only, reduced sizes, asserts that the
 //                             block solver needs fewer operator sweeps AND
-//                             that the measured auto-policy's choice never
-//                             costs more than 1.15x the single-vector wall
-//                             time (CI gate)
-//   micro_la --json=FILE      write the eigensolver harness results (policy
-//                             probes, skinny-SpMM sweep, per-shape legs and
-//                             policy decisions) as JSON
+//                             that the auto-policy's choice (block iff
+//                             c >= 16) never costs more than 1.15x the
+//                             single-vector wall time (CI gate)
+//   micro_la --json=FILE      write the eigensolver harness results
+//                             (skinny-SpMM sweep, per-shape legs and policy
+//                             decisions) as JSON
 //   micro_la --gemm-json=FILE write the GEMM sweep (scalar-forced vs SIMD)
 //                             + the Lanczos wall-time ratios as JSON
 //   micro_la --harness-only   skip the google-benchmark suite
@@ -174,7 +174,7 @@ struct EigBenchRow {
   double spmm_seconds = 0.0;      // one width-c SpMM
   SolverLeg single_leg;
   SolverLeg block_leg;
-  bool auto_block = false;  // the measured policy's choice at this shape
+  bool auto_block = false;  // the auto-policy's choice at this shape
   // Wall-time cost of the auto-policy's choice relative to the best
   // single-vector leg: block/single when the policy picks block, 1.0 when
   // it picks (i.e. yields to) single. ≤ 1 means auto never loses.
@@ -283,7 +283,9 @@ EigBenchRow RunEigBenchPoint(const EigBenchPoint& point, std::size_t repeats) {
       row.block_leg = {sec, sweeps, matvecs};
     }
   }
-  row.auto_block = la::EigensolvePolicy::Get().PreferBlock(point.n, point.c);
+  row.auto_block = la::ResolveEigensolveMode(la::EigensolveMode::kAuto,
+                                             point.n, point.c) ==
+                   la::EigensolveMode::kForceBlock;
   return row;
 }
 
@@ -349,19 +351,7 @@ void WriteEigBenchJson(const std::vector<EigBenchRow>& rows,
                        const std::string& path) {
   std::ofstream out(path);
   out << "{\n  \"benchmark\": \"eigensolver\",\n  \"tolerance\": 3e-06,\n"
-      << "  \"policy_probes\": [\n";
-  const auto& probes = la::EigensolvePolicy::Get().probes();
-  for (std::size_t i = 0; i < probes.size(); ++i) {
-    const la::EigensolvePolicy::Probe& p = probes[i];
-    char buf[256];
-    std::snprintf(buf, sizeof(buf),
-                  "    {\"n\": %zu, \"c\": %zu, \"block_seconds\": %.6e,"
-                  " \"single_seconds\": %.6e}%s\n",
-                  p.n, p.c, p.block_seconds, p.single_seconds,
-                  i + 1 < probes.size() ? "," : "");
-    out << buf;
-  }
-  out << "  ],\n  \"skinny_spmm\": [\n";
+      << "  \"skinny_spmm\": [\n";
   for (std::size_t i = 0; i < skinny.size(); ++i) {
     const SkinnyRow& s = skinny[i];
     char buf[256];
@@ -421,18 +411,8 @@ int RunEigensolverComparison(bool smoke, std::vector<EigBenchRow>* out_rows) {
   if (smoke) points.resize(3);
   const std::size_t repeats = smoke ? 1 : 3;
 
-  // Calibrate the policy before the timed legs so its probe solves don't
-  // land inside them.
-  const auto& probes = la::EigensolvePolicy::Get().probes();
-  std::printf("eigensolve policy probes (block[s] / single[s]):\n");
-  for (const la::EigensolvePolicy::Probe& p : probes) {
-    std::printf("  n=%-4zu c=%-3zu %.3e / %.3e = %.2f\n", p.n, p.c,
-                p.block_seconds, p.single_seconds,
-                p.block_seconds / p.single_seconds);
-  }
-
   std::printf(
-      "\neigensolver: single-vector vs block Lanczos (tolerance 3e-06)\n"
+      "eigensolver: single-vector vs block Lanczos (tolerance 3e-06)\n"
       "%-12s %6s %4s | %10s %10s %7s | %8s %8s %8s %8s | %6s %7s\n",
       "dataset", "n", "c", "spmv-c[s]", "spmm[s]", "speedup", "sv-sweep",
       "blk-sweep", "ratio", "blk/sv", "policy", "t-ratio");

@@ -8,18 +8,14 @@
 //   - StageCache: the ~11 jobs sharing a (dataset, seed) compute the
 //     simulation and graph construction ONCE — 66–87% of per-job cost on
 //     these shapes — instead of once per cell;
-//   - per-worker arenas/scratch (reuse_worker_state): iteration
-//     temporaries are allocated once per worker, not once per job (the
-//     no-arena leg releases everything between jobs for the A/B);
-//   - CrossJobBatcher: R-step Procrustes solves rendezvous across jobs;
 //   - two-level scheduling: each job declares a thread budget and its
 //     nested ParallelFor calls partition over that budget.
 //
 // The determinism gate runs before any number is reported: per-job labels
 // and final objectives must be bitwise identical to the serial loop at
 // worker counts {1, 2, 8} AND under reversed submission order. Peak RSS
-// is sampled after each leg (the getrusage watermark only grows, so legs
-// are ordered arena → no-arena → baseline and attributed by deltas).
+// is sampled after each leg (the getrusage watermark only grows, so the
+// executor legs run before the baseline and are attributed by deltas).
 //
 //   ./multi_job [--smoke] [--json=PATH]        (default BENCH_jobs.json)
 //
@@ -38,7 +34,6 @@
 #include "data/synthetic.h"
 #include "eval/metrics.h"
 #include "exec/executor.h"
-#include "la/lanczos.h"
 #include "mvsc/graphs.h"
 #include "mvsc/unified.h"
 
@@ -89,14 +84,12 @@ std::shared_ptr<const SweepStage> BuildStage(const std::string& name,
   return stage;
 }
 
-JobOutput SolveOne(const SweepJob& job, const SweepStage& stage,
-                   const umvsc::mvsc::SolveHooks& hooks) {
+JobOutput SolveOne(const SweepJob& job, const SweepStage& stage) {
   umvsc::mvsc::UnifiedOptions options;
   options.num_clusters = stage.dataset.NumClusters();
   options.beta = job.beta;
   options.gamma = job.gamma;
   options.seed = job.seed;
-  options.hooks = hooks;
   JobOutput out;
   StatusOr<umvsc::mvsc::UnifiedResult> result =
       umvsc::mvsc::UnifiedMVSC(options).Run(stage.graphs);
@@ -112,34 +105,28 @@ JobOutput SolveOne(const SweepJob& job, const SweepStage& stage,
 struct LegStats {
   std::string name;
   std::size_t workers = 0;  ///< 0 = serial loop (no executor)
-  bool arena = true;
   bool reversed = false;
   double seconds = 0.0;
   double jobs_per_sec = 0.0;
   bool parity = true;  ///< vs the serial baseline (filled after it runs)
   std::size_t cache_hits = 0;
   std::size_t cache_misses = 0;
-  std::size_t batch_requests = 0;
-  std::size_t batch_dispatches = 0;
-  std::size_t batch_max = 0;
   std::size_t rss_after_kb = 0;
   std::vector<JobOutput> outputs;
 };
 
 LegStats RunExecutorLeg(const std::string& name,
                         const std::vector<SweepJob>& jobs, double scale,
-                        std::size_t workers, bool reuse_state,
-                        bool reversed, std::size_t thread_budget) {
+                        std::size_t workers, bool reversed,
+                        std::size_t thread_budget) {
   LegStats leg;
   leg.name = name;
   leg.workers = workers;
-  leg.arena = reuse_state;
   leg.reversed = reversed;
   leg.outputs.resize(jobs.size());
 
   umvsc::exec::JobExecutor::Options eopts;
   eopts.num_workers = workers;
-  eopts.reuse_worker_state = reuse_state;
   umvsc::exec::JobExecutor executor(eopts);
 
   Stopwatch watch;
@@ -160,7 +147,7 @@ LegStats RunExecutorLeg(const std::string& name,
           context.stages().Get<SweepStage>(key, [&] {
             return BuildStage(job.dataset, job.seed, scale);
           });
-      leg.outputs[idx] = SolveOne(job, *stage, context.hooks());
+      leg.outputs[idx] = SolveOne(job, *stage);
       return leg.outputs[idx].ok ? Status::OK()
                                  : Status::Internal("solve failed");
     };
@@ -173,10 +160,6 @@ LegStats RunExecutorLeg(const std::string& name,
                          : 0.0;
   leg.cache_hits = executor.stages().hits();
   leg.cache_misses = executor.stages().misses();
-  const umvsc::exec::CrossJobBatcher::Stats batch = executor.batcher_stats();
-  leg.batch_requests = batch.requests;
-  leg.batch_dispatches = batch.dispatches;
-  leg.batch_max = batch.max_batch;
   leg.rss_after_kb = PeakRssKb();
   return leg;
 }
@@ -185,19 +168,18 @@ LegStats RunSerialBaseline(const std::vector<SweepJob>& jobs, double scale) {
   LegStats leg;
   leg.name = "serial_loop";
   leg.workers = 0;
-  leg.arena = false;
   leg.outputs.resize(jobs.size());
   Stopwatch watch;
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     // The pre-executor sweep shape: every grid cell pays its own
-    // simulation + graph construction, nothing shared, no hooks.
+    // simulation + graph construction, nothing shared.
     std::shared_ptr<const SweepStage> stage;
     try {
       stage = BuildStage(jobs[i].dataset, jobs[i].seed, scale);
     } catch (const std::exception&) {
       continue;
     }
-    leg.outputs[i] = SolveOne(jobs[i], *stage, umvsc::mvsc::SolveHooks());
+    leg.outputs[i] = SolveOne(jobs[i], *stage);
   }
   leg.seconds = watch.ElapsedSeconds();
   leg.jobs_per_sec = leg.seconds > 0.0
@@ -265,35 +247,22 @@ int main(int argc, char** argv) {
   }
   if (jobs.size() > job_cap) jobs.resize(job_cap);
 
-  // The eigensolver auto-policy calibrates on first use (timed probes,
-  // ~0.2s); trigger it before anything is on the clock so the first leg
-  // isn't charged for it.
-  la::EigensolvePolicy::Get();
-
   const std::size_t budget = 1;  // per-job nested-parallelism budget
   std::printf("multi_job (%s): %zu jobs, scale %.2f, %zu seeds\n",
               smoke ? "smoke" : "full", jobs.size(), scale, seeds);
 
-  // Arena legs first, no-arena next, serial last: the RSS watermark only
-  // grows, so each leg's figure is uncontaminated by later legs.
+  // Executor legs first, serial last: the RSS watermark only grows, so
+  // each leg's figure is uncontaminated by later legs.
   std::vector<LegStats> legs;
-  if (smoke) {
-    legs.push_back(RunExecutorLeg("exec_w2", jobs, scale, 2, true, false,
-                                  budget));
-    legs.push_back(RunExecutorLeg("exec_w2_reversed", jobs, scale, 2, true,
-                                  true, budget));
-  } else {
-    legs.push_back(RunExecutorLeg("exec_w1", jobs, scale, 1, true, false,
-                                  budget));
-    legs.push_back(RunExecutorLeg("exec_w2", jobs, scale, 2, true, false,
-                                  budget));
-    legs.push_back(RunExecutorLeg("exec_w8", jobs, scale, 8, true, false,
-                                  budget));
-    legs.push_back(RunExecutorLeg("exec_w2_reversed", jobs, scale, 2, true,
-                                  true, budget));
-    legs.push_back(RunExecutorLeg("exec_w2_noarena", jobs, scale, 2, false,
-                                  false, budget));
+  if (!smoke) {
+    legs.push_back(RunExecutorLeg("exec_w1", jobs, scale, 1, false, budget));
   }
+  legs.push_back(RunExecutorLeg("exec_w2", jobs, scale, 2, false, budget));
+  if (!smoke) {
+    legs.push_back(RunExecutorLeg("exec_w8", jobs, scale, 8, false, budget));
+  }
+  legs.push_back(
+      RunExecutorLeg("exec_w2_reversed", jobs, scale, 2, true, budget));
   LegStats baseline = RunSerialBaseline(jobs, scale);
 
   bool parity_all = true;
@@ -313,10 +282,9 @@ int main(int argc, char** argv) {
   for (const LegStats& leg : legs) {
     std::printf(
         "  %-18s: %6.2fs  %6.2f jobs/s  parity %s  cache %zu/%zu  "
-        "batch %zu req %zu disp (max %zu)  rss %zu KB\n",
+        "rss %zu KB\n",
         leg.name.c_str(), leg.seconds, leg.jobs_per_sec,
         leg.parity ? "ok" : "MISMATCH", leg.cache_hits, leg.cache_misses,
-        leg.batch_requests, leg.batch_dispatches, leg.batch_max,
         leg.rss_after_kb);
   }
   std::printf("  %-18s: %6.2fs  %6.2f jobs/s  rss %zu KB\n",
@@ -339,20 +307,18 @@ int main(int argc, char** argv) {
     for (const LegStats& leg : legs) {
       std::fprintf(
           f,
-          "    {\"leg\": \"%s\", \"workers\": %zu, \"arena\": %s, "
-          "\"order\": \"%s\", \"seconds\": %.4f, \"jobs_per_sec\": %.3f, "
-          "\"parity\": %s, \"stage_cache\": {\"hits\": %zu, \"misses\": "
-          "%zu}, \"batcher\": {\"requests\": %zu, \"dispatches\": %zu, "
-          "\"max_batch\": %zu}, \"rss_after_kb\": %zu},\n",
-          leg.name.c_str(), leg.workers, leg.arena ? "true" : "false",
+          "    {\"leg\": \"%s\", \"workers\": %zu, \"order\": \"%s\", "
+          "\"seconds\": %.4f, \"jobs_per_sec\": %.3f, \"parity\": %s, "
+          "\"stage_cache\": {\"hits\": %zu, \"misses\": %zu}, "
+          "\"rss_after_kb\": %zu},\n",
+          leg.name.c_str(), leg.workers,
           leg.reversed ? "reversed" : "forward", leg.seconds,
           leg.jobs_per_sec, leg.parity ? "true" : "false", leg.cache_hits,
-          leg.cache_misses, leg.batch_requests, leg.batch_dispatches,
-          leg.batch_max, leg.rss_after_kb);
+          leg.cache_misses, leg.rss_after_kb);
     }
     std::fprintf(f,
-                 "    {\"leg\": \"serial_loop\", \"workers\": 0, \"arena\": "
-                 "false, \"order\": \"forward\", \"seconds\": %.4f, "
+                 "    {\"leg\": \"serial_loop\", \"workers\": 0, "
+                 "\"order\": \"forward\", \"seconds\": %.4f, "
                  "\"jobs_per_sec\": %.3f, \"parity\": true, \"rss_after_kb\""
                  ": %zu}\n  ],\n",
                  baseline.seconds, baseline.jobs_per_sec,

@@ -176,8 +176,8 @@ int main(int argc, char** argv) {
     slope_floor = 100000;  // the top decade: 10⁵ … 10⁶
   }
 
-  // Untimed warmup so the measured EigensolvePolicy calibrates outside any
-  // timed leg (the calibration probe runs once per process).
+  // Untimed warmup so pool start-up and first-touch page faults stay
+  // outside every timed leg.
   {
     data::MultiViewDataset warm = MakeDataset(2000);
     auto result = mvsc::UnifiedMVSC(BaseOptions(true)).Run(warm);

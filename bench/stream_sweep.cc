@@ -241,8 +241,8 @@ int main(int argc, char** argv) {
     cfg.speedup_floor = 2.0;  // small windows blunt the asymptotic gap
   }
 
-  // Untimed warmup: calibrate the measured EigensolvePolicy outside the
-  // timed legs (the probe runs once per process).
+  // Untimed warmup: pool start-up and first-touch page faults stay outside
+  // the timed legs.
   {
     SweepConfig warm_cfg = cfg;
     warm_cfg.batch_size = 1000;

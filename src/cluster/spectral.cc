@@ -76,7 +76,7 @@ StatusOr<la::Matrix> SpectralEmbeddingSparse(const la::CsrMatrix& affinity,
   if (!lap.ok()) return lap.status();
   // The normalized Laplacian spectrum lies in [0, 2]; 2 + ε is a valid
   // complement bound for the smallest-eigenpair transform. The solver path
-  // is picked per shape by the measured la::EigensolvePolicy: the block
+  // is picked by k (la::ResolveEigensolveMode: block iff k ≥ 16): the block
   // solver iterates on n × k panels (one SpMM per application, in-panel
   // multiplicity capture) and wins at wide k, while the single-vector
   // solver's tridiagonal Rayleigh–Ritz wins at small k.

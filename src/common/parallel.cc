@@ -179,13 +179,8 @@ ScopedNumThreads::~ScopedNumThreads() {
 const ParallelContext* CurrentParallelContext() { return tl_parallel_context; }
 
 ScopedParallelContext::ScopedParallelContext(const ParallelContext& context)
-    : value_(context), previous_(tl_parallel_context), installed_(true) {
+    : value_(context), previous_(tl_parallel_context) {
   tl_parallel_context = &value_;
-}
-
-ScopedParallelContext::ScopedParallelContext(std::nullptr_t)
-    : value_(), previous_(tl_parallel_context), installed_(false) {
-  tl_parallel_context = nullptr;
 }
 
 ScopedParallelContext::~ScopedParallelContext() {

@@ -84,14 +84,11 @@ const ParallelContext* CurrentParallelContext();
 /// primitive of the job executor: the executor installs a job's thread
 /// budget on the worker running it, so a nested ParallelFor inside the job
 /// partitions only that budget instead of grabbing the whole pool (or
-/// degrading to serial). Pass nullptr to SUSPEND any installed context for
-/// the scope — used by once-per-process calibration (la::EigensolvePolicy)
-/// so a job's budget cannot skew measurements that outlive the job.
-/// Contexts nest per thread; each scope restores its predecessor.
+/// degrading to serial). Contexts nest per thread; each scope restores its
+/// predecessor.
 class ScopedParallelContext {
  public:
   explicit ScopedParallelContext(const ParallelContext& context);
-  explicit ScopedParallelContext(std::nullptr_t);
   ~ScopedParallelContext();
   ScopedParallelContext(const ScopedParallelContext&) = delete;
   ScopedParallelContext& operator=(const ScopedParallelContext&) = delete;
@@ -99,7 +96,6 @@ class ScopedParallelContext {
  private:
   ParallelContext value_;
   const ParallelContext* previous_;
-  bool installed_;
 };
 
 /// Runs `fn(chunk_begin, chunk_end)` over a static partition of

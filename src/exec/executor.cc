@@ -78,13 +78,9 @@ JobExecutor::JobExecutor() : JobExecutor(Options()) {}
 
 JobExecutor::JobExecutor(Options options) : options_(std::move(options)) {
   if (options_.num_workers == 0) options_.num_workers = 1;
-  slots_.reserve(options_.num_workers);
   workers_.reserve(options_.num_workers);
   for (std::size_t w = 0; w < options_.num_workers; ++w) {
-    slots_.push_back(std::make_unique<WorkerSlot>());
-  }
-  for (std::size_t w = 0; w < options_.num_workers; ++w) {
-    workers_.emplace_back([this, w] { WorkerLoop(w); });
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
@@ -151,9 +147,8 @@ std::shared_ptr<JobHandle::State> JobExecutor::NextJobLocked() {
   return nullptr;
 }
 
-void JobExecutor::WorkerLoop(std::size_t worker_index) {
+void JobExecutor::WorkerLoop() {
   tl_owning_executor = this;
-  WorkerSlot& slot = *slots_[worker_index];
   for (;;) {
     std::shared_ptr<JobHandle::State> state;
     {
@@ -168,19 +163,8 @@ void JobExecutor::WorkerLoop(std::size_t worker_index) {
       }
     }
 
-    if (!options_.reuse_worker_state) {
-      // The "no arena" A/B leg: every job pays its allocations fresh.
-      slot.arena.Release();
-      slot.scratch = mvsc::SolveScratch();
-    } else {
-      slot.arena.Reset();
-    }
-
     JobContext context;
-    context.arena_ = &slot.arena;
     context.stages_ = &stages_;
-    context.batcher_ = options_.batch_small_solves ? &batcher_ : nullptr;
-    context.scratch_ = &slot.scratch;
     context.cancel_ = &state->cancel_requested;
     context.thread_budget_ = state->thread_budget;
 

@@ -13,30 +13,19 @@
 #include <vector>
 
 #include "common/status.h"
-#include "exec/arena.h"
-#include "exec/batcher.h"
 #include "exec/stage_cache.h"
-#include "mvsc/solve_hooks.h"
 
 namespace umvsc::exec {
 
 class JobExecutor;
 
 /// Per-job view of the executor's substrate, handed to the job's work
-/// function. Everything here belongs to the WORKER running the job (arena,
-/// scratch) or to the executor as a whole (stage cache, batcher); nothing
-/// may escape the work function.
+/// function: the executor-wide stage cache, the job's cancel flag and its
+/// thread budget. Nothing here may escape the work function.
 class JobContext {
  public:
-  /// Bump workspace, rewound between the jobs a worker runs.
-  Arena& arena() { return *arena_; }
   /// Compute-once cache of shared pipeline stages (executor-wide).
   StageCache& stages() { return *stages_; }
-  /// Cross-job small-solve rendezvous; null when batching is disabled.
-  la::SmallSolveBatcher* batcher() { return batcher_; }
-  /// The solver hook bundle for mvsc::UnifiedOptions::hooks — the worker's
-  /// scratch plus the executor's batcher (or nulls when disabled).
-  mvsc::SolveHooks hooks() { return {batcher_, scratch_}; }
   /// Cooperative preemption: background jobs should poll this at
   /// checkpoint boundaries and return early (Status::OK with partial
   /// effects rolled back, or an error) when set.
@@ -48,10 +37,7 @@ class JobContext {
  private:
   friend class JobExecutor;
   JobContext() = default;
-  Arena* arena_ = nullptr;
   StageCache* stages_ = nullptr;
-  la::SmallSolveBatcher* batcher_ = nullptr;
-  mvsc::SolveScratch* scratch_ = nullptr;
   const std::atomic<bool>* cancel_ = nullptr;
   std::size_t thread_budget_ = 1;
 };
@@ -108,31 +94,20 @@ class JobHandle {
 
 /// Deterministic multi-tenant job executor: packs many independent solves
 /// onto one substrate — the global thread pool for nested parallelism
-/// (level 2), plus per-worker arenas/scratch, an executor-wide stage
-/// cache, and a cross-job small-solve batcher.
+/// (level 2) plus an executor-wide stage cache.
 ///
 /// Determinism contract (pinned by exec_executor_test and the
 /// bench/multi_job parity gate): per-job outputs are bitwise identical to
 /// running the same work functions in a plain serial loop, at every
 /// worker count and under every submission order. The pieces: job bodies
 /// depend only on their inputs; nested kernels are thread-count-invariant
-/// (docs/THREADING.md); cache factories are pure (StageCache); batched
-/// slots run the exact serial kernels (CrossJobBatcher). Scheduling
+/// (docs/THREADING.md); cache factories are pure (StageCache). Scheduling
 /// decides only WHEN work happens, never WHAT it computes.
 class JobExecutor {
  public:
   struct Options {
     /// Concurrent jobs (level 1). Distinct from any job's thread budget.
     std::size_t num_workers = 1;
-    /// Retain each worker's arena blocks and scratch shapes across the
-    /// jobs it runs (the steady-state zero-allocation path). Off = every
-    /// job starts from released state — the A/B leg bench/multi_job
-    /// reports as "no arena".
-    bool reuse_worker_state = true;
-    /// Route hooked small solves through the cross-job rendezvous
-    /// (CrossJobBatcher). Off = jobs get a null batcher and call serial
-    /// kernels directly.
-    bool batch_small_solves = true;
   };
 
   JobExecutor();  // default Options
@@ -156,23 +131,15 @@ class JobExecutor {
 
   /// Executor-wide compute-once stage cache.
   StageCache& stages() { return stages_; }
-  /// Batching statistics (zeroes when batch_small_solves is off).
-  CrossJobBatcher::Stats batcher_stats() const { return batcher_.stats(); }
 
   const Options& options() const { return options_; }
 
  private:
-  struct WorkerSlot {
-    Arena arena;
-    mvsc::SolveScratch scratch;
-  };
-
-  void WorkerLoop(std::size_t worker_index);
+  void WorkerLoop();
   std::shared_ptr<JobHandle::State> NextJobLocked();
 
   Options options_;
   StageCache stages_;
-  CrossJobBatcher batcher_;
 
   std::mutex mu_;
   std::condition_variable work_cv_;   ///< workers: queue or stop changed
@@ -182,7 +149,6 @@ class JobExecutor {
   std::size_t in_flight_ = 0;  ///< queued + running
   bool stopping_ = false;
 
-  std::vector<std::unique_ptr<WorkerSlot>> slots_;
   std::vector<std::thread> workers_;
 };
 

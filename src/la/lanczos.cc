@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cmath>
 #include <cstdlib>
-#include <limits>
-#include <mutex>
 #include <string>
 
 #include "common/parallel.h"
@@ -618,73 +615,10 @@ StatusOr<SymEigenResult> BlockLanczosSmallest(const CsrMatrix& a, std::size_t k,
 }
 
 // ---------------------------------------------------------------------------
-// Measured auto-policy
+// Auto-policy
 // ---------------------------------------------------------------------------
 
 namespace {
-
-// The probe grid (see the EigensolvePolicy doc comment). log₂ 192 ≈ 7.58
-// and log₂ 768 ≈ 9.58 bracket every paper-scale shape's log₂ n within a
-// clamp of ≤ 1.5 octaves.
-constexpr std::size_t kProbeN[2] = {192, 768};
-constexpr std::size_t kProbeC[2] = {4, 12};
-
-// A planted c-cluster symmetric normalized Laplacian, built directly from
-// triplets so the calibration stays inside the la layer (no dependency on
-// graph construction). Each vertex gets ~8 random in-cluster neighbors plus
-// a sprinkle of cross-cluster edges — the degree and spectral profile of
-// the k-NN affinity graphs the clustering layers feed this solver.
-CsrMatrix ProbeLaplacian(std::size_t n, std::size_t c) {
-  Rng rng(0x5eed + n * 131 + c);
-  std::vector<std::vector<std::size_t>> adj(n);
-  auto connect = [&adj](std::size_t i, std::size_t j) {
-    if (i == j) return;
-    for (std::size_t seen : adj[i]) {
-      if (seen == j) return;
-    }
-    adj[i].push_back(j);
-    adj[j].push_back(i);
-  };
-  const std::size_t per = n / c;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t cluster = i / per < c ? i / per : c - 1;
-    const std::size_t lo = cluster * per;
-    const std::size_t hi = cluster + 1 == c ? n : lo + per;
-    for (std::size_t e = 0; e < 8; ++e) {
-      connect(i, lo + rng.UniformInt(hi - lo));
-    }
-    if (rng.Uniform() < 0.05) {
-      connect(i, rng.UniformInt(n));
-    }
-  }
-  std::vector<double> degree(n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    degree[i] = static_cast<double>(adj[i].size());
-  }
-  std::vector<Triplet> triplets;
-  for (std::size_t i = 0; i < n; ++i) {
-    triplets.push_back({i, i, 1.0});
-    for (std::size_t j : adj[i]) {
-      triplets.push_back({i, j, -1.0 / std::sqrt(degree[i] * degree[j])});
-    }
-  }
-  return CsrMatrix::FromTriplets(n, n, std::move(triplets));
-}
-
-// Wall time of the faster of two runs of `solve` — one repeat knocks out
-// most scheduler noise without making first-use calibration noticeable.
-template <typename Solve>
-double BestOfTwoSeconds(const Solve& solve) {
-  double best = std::numeric_limits<double>::infinity();
-  for (int rep = 0; rep < 2; ++rep) {
-    const auto start = std::chrono::steady_clock::now();
-    solve();
-    const std::chrono::duration<double> elapsed =
-        std::chrono::steady_clock::now() - start;
-    best = std::min(best, elapsed.count());
-  }
-  return best;
-}
 
 // Process-global override slot for ScopedEigensolveMode; -1 means no
 // override is live. Same shape as kernel::ScopedForceScalar's flag.
@@ -694,86 +628,6 @@ std::atomic<int>& EigensolveOverrideSlot() {
 }
 
 }  // namespace
-
-EigensolvePolicy::EigensolvePolicy() {
-  // Calibration runs with the solver configuration the clustering layers
-  // use (their 3e-6 tolerance, their max_subspace formula), so the ratios
-  // transfer. The env/scope overrides are NOT consulted here — the policy
-  // measures both paths regardless of what the process forces, so a later
-  // un-forced query still has real data.
-  //
-  // First use may come from an executor worker running a thread-budgeted
-  // job: suspend any installed ParallelContext so the probes time the
-  // process-default pool configuration, not one tenant's budget — the
-  // decision is baked in process-wide and must not depend on which job
-  // happened to trigger it.
-  const ScopedParallelContext no_context(nullptr);
-  for (int ni = 0; ni < 2; ++ni) {
-    for (int ci = 0; ci < 2; ++ci) {
-      const std::size_t n = kProbeN[ni];
-      const std::size_t c = kProbeC[ci];
-      const CsrMatrix lap = ProbeLaplacian(n, c);
-      LanczosOptions options;
-      options.tolerance = 3e-6;
-      options.max_subspace =
-          std::min(n, std::max<std::size_t>(12 * c + 100, 250));
-      Probe probe;
-      probe.n = n;
-      probe.c = c;
-      probe.block_seconds = BestOfTwoSeconds([&] {
-        (void)BlockLanczosSmallest(lap, c, 2.0 + 1e-9, options);
-      });
-      probe.single_seconds = BestOfTwoSeconds(
-          [&] { (void)LanczosSmallest(lap, c, 2.0 + 1e-9, options); });
-      log_ratio_[ni][ci] =
-          std::log(std::max(probe.block_seconds, 1e-9) /
-                   std::max(probe.single_seconds, 1e-9));
-      probes_.push_back(probe);
-    }
-  }
-}
-
-const EigensolvePolicy& EigensolvePolicy::Get() {
-  // Explicit once-guard rather than a magic static: the calibration body
-  // runs timed probes through the thread pool, and the executor makes
-  // CONCURRENT first use from several worker threads the common case (N
-  // jobs submitted at once all reach their first eigensolve together).
-  // call_once pins the intended semantics — exactly one thread calibrates,
-  // every other first-user blocks until the probes finish, and no probe
-  // ever runs twice (la_policy_concurrent_test exercises exactly this).
-  static std::once_flag once;
-  static const EigensolvePolicy* policy = nullptr;
-  std::call_once(once, [] { policy = new EigensolvePolicy(); });
-  return *policy;
-}
-
-bool EigensolvePolicy::PreferBlock(std::size_t n, std::size_t k) const {
-  // Shape rules outside the probe grid: a width-1 panel is the
-  // single-vector iteration plus panel overhead, and k ≥ 16 is where the
-  // block path's level-3 kernels and in-panel multiplicity capture win in
-  // every measurement (the ORL shape, 400 × 40, runs ~20% faster through
-  // the block path while the single-vector solver needs 7× the sweeps).
-  if (k <= 1) return false;
-  if (k >= 16) return true;
-  const auto clamp = [](double x, double lo, double hi) {
-    return x < lo ? lo : (x > hi ? hi : x);
-  };
-  const double ln0 = std::log2(static_cast<double>(kProbeN[0]));
-  const double ln1 = std::log2(static_cast<double>(kProbeN[1]));
-  const double tn =
-      (clamp(std::log2(static_cast<double>(n)), ln0, ln1) - ln0) / (ln1 - ln0);
-  const double tc = (clamp(static_cast<double>(k),
-                           static_cast<double>(kProbeC[0]),
-                           static_cast<double>(kProbeC[1])) -
-                     kProbeC[0]) /
-                    static_cast<double>(kProbeC[1] - kProbeC[0]);
-  const double interpolated =
-      (1.0 - tn) * ((1.0 - tc) * log_ratio_[0][0] + tc * log_ratio_[0][1]) +
-      tn * ((1.0 - tc) * log_ratio_[1][0] + tc * log_ratio_[1][1]);
-  // Block must *beat* single with margin — near the crossover the noise in
-  // the probes exceeds the stakes, and the single path is the safe default.
-  return interpolated <= std::log(0.95);
-}
 
 ScopedEigensolveMode::ScopedEigensolveMode(EigensolveMode mode)
     : previous_(static_cast<EigensolveMode>(-1)) {
@@ -787,8 +641,8 @@ ScopedEigensolveMode::~ScopedEigensolveMode() {
                                  std::memory_order_relaxed);
 }
 
-EigensolveMode ResolveEigensolveMode(EigensolveMode requested, std::size_t n,
-                                     std::size_t k) {
+EigensolveMode ResolveEigensolveMode(EigensolveMode requested,
+                                     std::size_t /*n*/, std::size_t k) {
   const int scoped = EigensolveOverrideSlot().load(std::memory_order_relaxed);
   if (scoped == static_cast<int>(EigensolveMode::kForceBlock) ||
       scoped == static_cast<int>(EigensolveMode::kForceSingle)) {
@@ -800,9 +654,12 @@ EigensolveMode ResolveEigensolveMode(EigensolveMode requested, std::size_t n,
     if (value == "block") return EigensolveMode::kForceBlock;
     if (value == "single") return EigensolveMode::kForceSingle;
   }
-  return EigensolvePolicy::Get().PreferBlock(n, k)
-             ? EigensolveMode::kForceBlock
-             : EigensolveMode::kForceSingle;
+  // Wide panels amortize the basis products and capture a c-fold
+  // multiplicity in one shot (the ORL shape, 400 × 40, runs ~20% faster
+  // through the block path while the single-vector solver needs 7× the
+  // sweeps); below that width the single-vector solver wins at every
+  // measured shape (micro_la). The choice never depends on n.
+  return k >= 16 ? EigensolveMode::kForceBlock : EigensolveMode::kForceSingle;
 }
 
 namespace {

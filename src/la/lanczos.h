@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <vector>
 
 #include "common/status.h"
 #include "la/sparse.h"
@@ -137,61 +136,16 @@ StatusOr<SymEigenResult> BlockLanczosSmallest(
 enum class EigensolveMode {
   /// Consult, in order: a live ScopedEigensolveMode override, the
   /// UMVSC_EIGENSOLVER environment variable ("block" / "single"; anything
-  /// else falls through), and finally the measured EigensolvePolicy.
+  /// else falls through), and finally the shape rule: block iff k ≥ 16.
+  /// Both paths converge to the same eigenpairs within solver tolerance,
+  /// but their floating-point bits may differ, so the rule is a fixed
+  /// function of k — never of timings — and a given shape resolves the
+  /// same way on every host and run.
   kAuto,
   /// Always the panel (block) solver.
   kForceBlock,
   /// Always the single-vector solver.
   kForceSingle,
-};
-
-/// Measured block-vs-single auto-policy. Calibrated once per process, at
-/// first use, from timed microprobes: both solvers run on small planted
-/// c-cluster normalized Laplacians over the grid (n, c) ∈ {192, 768} ×
-/// {4, 12}, and the log of the block/single time ratio at each corner is
-/// kept. A query bilinearly interpolates that log-ratio in (log₂ n, c) —
-/// clamped to the grid — and prefers the block path only when the
-/// interpolated ratio beats 0.95 (ties go to the single-vector solver).
-/// Two shape rules bypass the interpolation entirely: k == 1 is always
-/// single-vector (a width-1 panel is the same iteration plus overhead),
-/// and k ≥ 16 is always block (far outside the probe grid; wide panels
-/// amortize the basis products and capture multiplicity, and every
-/// measurement at such shapes favors block).
-///
-/// The decision is a pure function of the probe timings, so a process
-/// always resolves a given shape the same way — but two *runs* on a
-/// differently-loaded machine may disagree near the crossover. Both paths
-/// converge to the same eigenpairs within solver tolerance, so only
-/// wall time and floating-point bits may differ; pin the mode (options,
-/// ScopedEigensolveMode, or UMVSC_EIGENSOLVER) for bit-stable cross-run
-/// comparisons.
-class EigensolvePolicy {
- public:
-  /// One calibration measurement: both solvers timed on the same planted
-  /// Laplacian (best of two runs each).
-  struct Probe {
-    std::size_t n = 0;
-    std::size_t c = 0;
-    double block_seconds = 0.0;
-    double single_seconds = 0.0;
-  };
-
-  /// The process-wide policy, calibrated on first call (thread-safe).
-  static const EigensolvePolicy& Get();
-
-  /// True when the block path is predicted faster for k eigenpairs of an
-  /// n × n operator.
-  bool PreferBlock(std::size_t n, std::size_t k) const;
-
-  /// The raw calibration measurements (for reporting — bench/micro_la
-  /// prints these next to its per-shape policy decisions).
-  const std::vector<Probe>& probes() const { return probes_; }
-
- private:
-  EigensolvePolicy();
-
-  std::vector<Probe> probes_;
-  double log_ratio_[2][2] = {};  // [index in {192, 768}][index in {4, 12}]
 };
 
 /// RAII process-wide mode override — the strongest word in the resolution
@@ -213,7 +167,8 @@ class ScopedEigensolveMode {
 /// Resolves `requested` to a concrete solver choice for a k-pair solve at
 /// size n. Never returns kAuto. Resolution order: ScopedEigensolveMode
 /// override → `requested` (when not kAuto) → UMVSC_EIGENSOLVER environment
-/// variable ("block" / "single") → EigensolvePolicy::PreferBlock.
+/// variable ("block" / "single") → block iff k ≥ 16. `n` is accepted for
+/// call-site symmetry with the solvers; the rule does not read it.
 EigensolveMode ResolveEigensolveMode(EigensolveMode requested, std::size_t n,
                                      std::size_t k);
 

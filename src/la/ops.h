@@ -43,8 +43,9 @@ void MatMulAddInto(const Matrix& a, const Matrix& b, Matrix& c);
 void MatTMulInto(const Matrix& a, const Matrix& b, Matrix& c);
 
 /// C = A · B into caller storage (overwritten) — MatMul without the
-/// allocation, for per-iteration products that reuse a scratch buffer
-/// (mvsc::SolveScratch). Requires C pre-shaped to A.rows() × B.cols().
+/// allocation, for per-iteration products that reuse a buffer shaped once
+/// before the loop (the mvsc alternations). Requires C pre-shaped to
+/// A.rows() × B.cols().
 /// Bitwise equal to MatMul(a, b) at every thread count.
 void MatMulInto(const Matrix& a, const Matrix& b, Matrix& c);
 

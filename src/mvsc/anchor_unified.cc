@@ -131,7 +131,7 @@ StatusOr<AnchorUnifiedResult> SolveUnifiedAnchors(
   embeddings.clear();
   la::Matrix mix;
   StatusOr<la::Matrix> basis_or =
-      JointOrthonormalBasis(concat, c, &mix, options.hooks.batcher);
+      JointOrthonormalBasis(concat, c, &mix);
   if (!basis_or.ok()) return basis_or.status();
   const la::Matrix basis = std::move(*basis_or);
 

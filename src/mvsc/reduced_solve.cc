@@ -17,13 +17,11 @@ namespace umvsc::mvsc {
 
 StatusOr<la::Matrix> JointOrthonormalBasis(const la::Matrix& concat,
                                            std::size_t min_rank,
-                                           la::Matrix* mix_out,
-                                           la::SmallSolveBatcher* batcher) {
+                                           la::Matrix* mix_out) {
   UMVSC_CHECK(mix_out != nullptr, "mix sink is required");
   const std::size_t p_full = concat.cols();
   const la::Matrix gram = la::Gram(concat);
-  StatusOr<la::SymEigenResult> gram_eig =
-      batcher != nullptr ? batcher->SymEigen(gram) : la::SymmetricEigen(gram);
+  StatusOr<la::SymEigenResult> gram_eig = la::SymmetricEigen(gram);
   if (!gram_eig.ok()) return gram_eig.status();
   double max_gram = 0.0;
   for (std::size_t j = 0; j < p_full; ++j) {
@@ -178,18 +176,15 @@ StatusOr<ReducedSolveState> SolveReducedAlternation(
   // need from the n-row indicator.
   la::Matrix p_red = la::MatTMul(basis, y_hat);
 
-  // Executor hooks, as on the exact path: scratch-backed temporaries and
-  // batched c × c Procrustes — bitwise-identical iterates either way.
-  SolveScratch local_scratch;
-  SolveScratch& scratch = options.hooks.scratch != nullptr
-                              ? *options.hooks.scratch
-                              : local_scratch;
+  // Per-iteration temporaries, shaped once, as on the exact path.
+  la::Matrix b(p, c);                // G-step right-hand side β·P·Rᵀ
+  la::Matrix ctc(c, c);              // R-step Procrustes input GᵀP
+  la::Matrix fr(f_full.rows(), c);   // Y-step rotated embedding F·R
   double prev_obj = std::numeric_limits<double>::infinity();
   for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
     // --- G-step: min Tr(GᵀHG) − 2β·Tr(Gᵀ P Rᵀ) on the p-dim Stiefel
     // manifold — the F-step compressed through F = B·G.
     la::CsrMatrix a = combiner.Combine(reduced, weights.coefficients);
-    la::Matrix& b = SolveScratch::Ensure(scratch.b, p, c);
     la::MatMulTInto(p_red, rotation, b);
     b.Scale(options.beta);
     cluster::GpiOptions gpi;
@@ -200,18 +195,14 @@ StatusOr<ReducedSolveState> SolveReducedAlternation(
     g = std::move(gstep->f);
 
     // --- R-step: Procrustes on FᵀŶ = GᵀP (c × c — no n-row pass).
-    la::Matrix& ctc = SolveScratch::Ensure(scratch.ctc, c, c);
     la::MatTMulInto(g, p_red, ctc);
-    StatusOr<la::Matrix> rstep = options.hooks.batcher != nullptr
-                                     ? options.hooks.batcher->Procrustes(ctc)
-                                     : la::ProcrustesRotation(ctc);
+    StatusOr<la::Matrix> rstep = la::ProcrustesRotation(ctc);
     if (!rstep.ok()) return rstep.status();
     rotation = std::move(*rstep);
 
     // --- Y-step: the one reconstruction per iteration — labels are an
     // n-point object, so the row-argmax of F·R = B·(G·R) must see n rows.
     la::MatMulInto(basis, g, f_full);
-    la::Matrix& fr = SolveScratch::Ensure(scratch.fr, f_full.rows(), c);
     la::MatMulInto(f_full, rotation, fr);
     std::vector<std::size_t> labels = internal::DiscretizeRows(fr, c);
     indicator = cluster::LabelsToIndicator(labels, c);

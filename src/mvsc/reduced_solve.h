@@ -25,15 +25,10 @@ namespace umvsc::mvsc {
 /// across views (shared structure) truncates gracefully instead of
 /// dividing by zero. Fills `mix_out` (p_full × p, kept directions in
 /// descending eigenvalue order) and returns B (n × p, BᵀB ≈ I). Errors
-/// when the kept rank falls below `min_rank`. The dense Gram eigensolve
-/// routes through `batcher` when one is given (executor jobs rendezvous
-/// their basis builds into one batched dispatch — bitwise-identical
-/// results per la::SmallSolveBatcher's contract); null calls the serial
-/// kernel directly.
+/// when the kept rank falls below `min_rank`.
 StatusOr<la::Matrix> JointOrthonormalBasis(const la::Matrix& concat,
                                            std::size_t min_rank,
-                                           la::Matrix* mix_out,
-                                           la::SmallSolveBatcher* batcher = nullptr);
+                                           la::Matrix* mix_out);
 
 /// State carried between solves to warm-start the next one: the reduced
 /// embedding seeds the init eigensolves (la::LanczosOptions::warm_start),

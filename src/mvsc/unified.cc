@@ -65,10 +65,7 @@ StatusOr<std::vector<double>> SpectralFloors(
   const std::size_t num_views = laplacians.size();
   std::vector<double> floors(num_views, 0.0);
   // Every view shares one shape (n, c), so the solver choice is resolved
-  // once, up front — which also keeps the policy's first-use calibration
-  // (timed probes) out of the parallel region below, where the nested-
-  // ParallelFor inlining would serialize the probe kernels and skew the
-  // measurement.
+  // once, up front.
   const la::EigensolveMode mode = la::ResolveEigensolveMode(
       block_lanczos, laplacians.empty() ? 0 : laplacians[0].rows(), c);
   // One Lanczos eigensolve per view, fanned out across views. Each solve is
@@ -318,20 +315,17 @@ StatusOr<UnifiedResult> UnifiedMVSC::Run(const MultiViewGraphs& graphs) const {
                          ? cluster::ScaledIndicator(indicator)
                          : indicator;
 
-  // Executor hooks: scratch-backed temporaries and batched small solves.
-  // Both paths produce bitwise-identical iterates (solve_hooks.h), so the
-  // loop below never branches on anything but where results live.
-  SolveScratch local_scratch;
-  SolveScratch& scratch = options_.hooks.scratch != nullptr
-                              ? *options_.hooks.scratch
-                              : local_scratch;
+  // Per-iteration temporaries, shaped once: the Into-style producers
+  // overwrite them every iteration.
+  la::Matrix b(n, c);    // F-step right-hand side β·Ŷ·Rᵀ
+  la::Matrix ctc(c, c);  // R-step Procrustes input FᵀŶ
+  la::Matrix fr(n, c);   // Y-step rotated embedding F·R
   double prev_obj = std::numeric_limits<double>::infinity();
   for (std::size_t iter = 0; iter < options_.max_iterations; ++iter) {
     // --- F-step: min Tr(FᵀAF) − 2β·Tr(Fᵀ Ŷ Rᵀ) on the Stiefel manifold.
     // Value-only combination over the precomputed union pattern; the GPI is
     // warm-started from the incumbent F below.
     la::CsrMatrix a = combiner.Combine(graphs.laplacians, weights.coefficients);
-    la::Matrix& b = SolveScratch::Ensure(scratch.b, n, c);
     la::MatMulTInto(y_hat, rotation, b);
     b.Scale(options_.beta);
     cluster::GpiOptions gpi;
@@ -342,17 +336,12 @@ StatusOr<UnifiedResult> UnifiedMVSC::Run(const MultiViewGraphs& graphs) const {
     f = std::move(fstep->f);
 
     // --- R-step: orthogonal Procrustes on FᵀŶ.
-    la::Matrix& ctc = SolveScratch::Ensure(scratch.ctc, c, c);
     la::MatTMulInto(f, y_hat, ctc);
-    StatusOr<la::Matrix> rstep =
-        options_.hooks.batcher != nullptr
-            ? options_.hooks.batcher->Procrustes(ctc)
-            : la::ProcrustesRotation(ctc);
+    StatusOr<la::Matrix> rstep = la::ProcrustesRotation(ctc);
     if (!rstep.ok()) return rstep.status();
     rotation = std::move(*rstep);
 
     // --- Y-step: row-wise argmax of F·R (exact given F, R).
-    la::Matrix& fr = SolveScratch::Ensure(scratch.fr, n, c);
     la::MatMulInto(f, rotation, fr);
     std::vector<std::size_t> labels = internal::DiscretizeRows(fr, c);
     indicator = cluster::LabelsToIndicator(labels, c);

@@ -9,7 +9,6 @@
 #include "la/lanczos.h"
 #include "la/matrix.h"
 #include "mvsc/graphs.h"
-#include "mvsc/solve_hooks.h"
 
 namespace umvsc::mvsc {
 
@@ -92,8 +91,8 @@ struct UnifiedOptions {
   /// Disable to reproduce fully cold solves (e.g. for A/B measurements).
   bool warm_start = true;
   /// Eigensolver routing for every eigensolve of the run (spectral floors
-  /// + init alternations). kAuto (the default) lets the measured
-  /// la::EigensolvePolicy pick the faster path per shape: the block solver
+  /// + init alternations). kAuto (the default) picks by the cluster count
+  /// (block iff c ≥ 16, la::ResolveEigensolveMode): the block solver
   /// iterates on n × c panels — one SpMM per operator application instead
   /// of c memory-bound matvecs, warm starts entering the first panel
   /// column-per-column — while the single-vector solver's tridiagonal
@@ -103,12 +102,6 @@ struct UnifiedOptions {
   la::EigensolveMode block_lanczos = la::EigensolveMode::kAuto;
   /// Large-scale anchor mode (disabled by default — see UnifiedAnchorOptions).
   UnifiedAnchorOptions anchors;
-  /// Executor substrate hooks (solve_hooks.h): an optional cross-job small-
-  /// solve batcher and reusable scratch. Defaults to the plain serial path;
-  /// with hooks installed, results stay bitwise identical (the hooks'
-  /// determinism contract), only allocation and scheduling change. The
-  /// pointers are non-owning and must outlive the Run() call.
-  SolveHooks hooks;
   std::uint64_t seed = 0;
 };
 

@@ -8,13 +8,11 @@ namespace umvsc::serve {
 
 namespace {
 
-Status FitOneTenant(const TenantFitSpec& spec, exec::JobContext& context,
-                    ModelRegistry* registry) {
+Status FitOneTenant(const TenantFitSpec& spec, ModelRegistry* registry) {
   if (spec.training == nullptr) {
     return Status::InvalidArgument("tenant spec has no training dataset");
   }
-  mvsc::UnifiedOptions options = spec.unified;
-  options.hooks = context.hooks();
+  const mvsc::UnifiedOptions& options = spec.unified;
 
   StatusOr<mvsc::OutOfSampleModel> model =
       Status::Internal("tenant fit did not run");
@@ -54,8 +52,8 @@ std::vector<TenantFitReport> FitTenantModels(
     job.thread_budget = spec.thread_budget;
     // The spec vector outlives the blocking Await loop below, so the jobs
     // may hold references into it.
-    job.work = [&spec, registry](exec::JobContext& context) {
-      return FitOneTenant(spec, context, registry);
+    job.work = [&spec, registry](exec::JobContext&) {
+      return FitOneTenant(spec, registry);
     };
     handles.push_back(executor.Submit(std::move(job)));
   }

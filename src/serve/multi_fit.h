@@ -21,9 +21,8 @@ struct TenantFitSpec {
   std::string model_id;
   /// Non-owning; must outlive the FitTenantModels call.
   const data::MultiViewDataset* training = nullptr;
-  /// Solver configuration. `hooks` is overwritten per job with the
-  /// executor substrate (worker scratch + cross-job batcher); set the rest
-  /// freely, including anchors.enabled for the large-scale path.
+  /// Solver configuration, including anchors.enabled for the large-scale
+  /// path.
   mvsc::UnifiedOptions unified;
   /// Exact-path graph construction; the anchor path reads `standardize`.
   mvsc::GraphOptions graph_options;

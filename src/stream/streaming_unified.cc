@@ -257,27 +257,24 @@ Status StreamingUnifiedMVSC::FullResolve(const std::string& reason,
                                          StreamingUpdateResult* out) {
   exec::JobExecutor* executor = options_.executor;
   if (executor == nullptr || executor->OnWorkerThread()) {
-    // No substrate (or already on it): solve on the calling thread with
-    // the plain serial hooks.
-    return FullResolveNow(reason, out, mvsc::SolveHooks());
+    // No substrate (or already on it): solve on the calling thread.
+    return FullResolveNow(reason, out);
   }
   // Submit as a background job: tenant fits queued as foreground keep
-  // priority, and the solve picks up the worker's scratch plus the
-  // cross-job batcher. Ingest's caller blocks on the handle, so `this`,
-  // `reason`, and `out` safely outlive the job.
+  // priority. Ingest's caller blocks on the handle, so `this`, `reason`,
+  // and `out` safely outlive the job.
   exec::JobSpec spec;
   spec.name = "stream-full-resolve";
   spec.background = true;
   spec.thread_budget = options_.resolve_thread_budget;
-  spec.work = [this, &reason, out](exec::JobContext& context) -> Status {
-    return FullResolveNow(reason, out, context.hooks());
+  spec.work = [this, &reason, out](exec::JobContext&) -> Status {
+    return FullResolveNow(reason, out);
   };
   return executor->Submit(std::move(spec)).Await();
 }
 
 Status StreamingUnifiedMVSC::FullResolveNow(const std::string& reason,
-                                            StreamingUpdateResult* out,
-                                            const mvsc::SolveHooks& hooks) {
+                                            StreamingUpdateResult* out) {
   // Compact so the flat arrays and the matrices built from them share row 0.
   CompactWindow();
 
@@ -372,10 +369,8 @@ Status StreamingUnifiedMVSC::FullResolveNow(const std::string& reason,
         emb->embedding.data() + rows_ * emb->embedding.cols());
   }
 
-  mvsc::UnifiedOptions solve_opts = uopts;
-  solve_opts.hooks = hooks;
   UMVSC_RETURN_IF_ERROR(
-      SolveWindow(solve_opts, /*warm=*/false, /*polish=*/true, out));
+      SolveWindow(uopts, /*warm=*/false, /*polish=*/true, out));
   baseline_objective_ = out->objective;
   baseline_smoothness_ = out->view_smoothness;
   model_ready_ = true;

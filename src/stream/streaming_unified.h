@@ -66,10 +66,9 @@ struct StreamingOptions {
 
   /// When set, full re-solves are submitted to this executor as BACKGROUND
   /// jobs (foreground tenant work keeps priority) instead of running on
-  /// the Ingest thread directly: the solve inherits the executor substrate
-  /// — per-worker scratch, the cross-job small-solve batcher, and the
-  /// declared thread budget below — and Ingest blocks on the job handle,
-  /// so semantics and results are unchanged (bitwise; the hooks contract).
+  /// the Ingest thread directly: the solve runs under the declared thread
+  /// budget below and Ingest blocks on the job handle, so semantics and
+  /// results are unchanged (bitwise; the executor's determinism contract).
   /// Calls that already run ON an executor worker solve inline to avoid
   /// submit-and-wait deadlock. Non-owning; must outlive this object.
   exec::JobExecutor* executor = nullptr;
@@ -199,8 +198,7 @@ class StreamingUnifiedMVSC {
   /// executor job (options_.executor) whose handle is awaited — identical
   /// results either way.
   Status FullResolve(const std::string& reason, StreamingUpdateResult* out);
-  Status FullResolveNow(const std::string& reason, StreamingUpdateResult* out,
-                        const mvsc::SolveHooks& hooks);
+  Status FullResolveNow(const std::string& reason, StreamingUpdateResult* out);
   Status IncrementalUpdate(StreamingUpdateResult* out);
 
   StreamingOptions options_;

@@ -67,20 +67,6 @@ TEST(ParallelContextTest, ScopesNestAndRestoreTheirPredecessor) {
   EXPECT_EQ(CurrentParallelContext(), nullptr);
 }
 
-TEST(ParallelContextTest, NullptrScopeSuspendsTheInstalledContext) {
-  const ScopedNumThreads process_default(3);
-  const ScopedParallelContext budget(ParallelContext{1});
-  EXPECT_EQ(CountSpans(16), 1u);
-  {
-    // The calibration shape: once-per-process measurement must not be
-    // skewed by whatever job budget happens to be installed.
-    const ScopedParallelContext suspend(nullptr);
-    EXPECT_EQ(CurrentParallelContext(), nullptr);
-    EXPECT_EQ(CountSpans(16), 3u);
-  }
-  EXPECT_EQ(CurrentParallelContext()->num_threads, 1u);
-}
-
 TEST(ParallelContextTest, ContextIsPerThreadAndNeverLeaks) {
   const ScopedParallelContext budget(ParallelContext{2});
   const ParallelContext* other_thread_sees =

@@ -17,7 +17,6 @@
 
 #include "common/parallel.h"
 #include "exec/executor.h"
-#include "la/batched.h"
 #include "la/matrix.h"
 #include "la/svd.h"
 
@@ -254,20 +253,6 @@ TEST(JobExecutorTest, OnWorkerThreadDistinguishesInsideFromOutside) {
   EXPECT_TRUE(inside);
 }
 
-TEST(JobExecutorTest, ContextProvidesArenaScratchAndHooks) {
-  JobExecutor executor;
-  JobHandle handle = executor.Submit(MakeJob([](JobContext& context) {
-    double* workspace = context.arena().New<double>(64);
-    if (workspace == nullptr) return Status::Internal("no arena memory");
-    workspace[63] = 1.0;
-    const mvsc::SolveHooks hooks = context.hooks();
-    if (hooks.scratch == nullptr) return Status::Internal("no scratch");
-    if (hooks.batcher == nullptr) return Status::Internal("no batcher");
-    return Status::OK();
-  }));
-  EXPECT_TRUE(handle.Await().ok());
-}
-
 la::Matrix TestMatrix(std::size_t n, std::uint64_t salt) {
   la::Matrix m(n, n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -280,9 +265,9 @@ la::Matrix TestMatrix(std::size_t n, std::uint64_t salt) {
   return m;
 }
 
-// The headline contract: per-job results (here, Procrustes rotations
-// routed through the cross-job batcher) are bitwise identical to a plain
-// serial loop, at worker counts {1, 2, 8}, forward and reversed order.
+// The headline contract: per-job results (here, Procrustes rotations) are
+// bitwise identical to a plain serial loop, at worker counts {1, 2, 8},
+// forward and reversed order.
 TEST(JobExecutorTest, JobOutputsMatchSerialLoopBitwiseEverywhere) {
   constexpr std::size_t kJobs = 24;
   std::vector<la::Matrix> inputs;
@@ -307,11 +292,9 @@ TEST(JobExecutorTest, JobOutputsMatchSerialLoopBitwiseEverywhere) {
       for (std::size_t k = 0; k < kJobs; ++k) {
         const std::size_t idx = reversed ? kJobs - 1 - k : k;
         handles.push_back(executor.Submit(
-            MakeJob([&inputs, &outputs, idx](JobContext& context) {
+            MakeJob([&inputs, &outputs, idx](JobContext&) {
               StatusOr<la::Matrix> rotation =
-                  context.batcher() != nullptr
-                      ? context.batcher()->Procrustes(inputs[idx])
-                      : la::ProcrustesRotation(inputs[idx]);
+                  la::ProcrustesRotation(inputs[idx]);
               if (!rotation.ok()) return rotation.status();
               outputs[idx] = std::move(*rotation);
               return Status::OK();
