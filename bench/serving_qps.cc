@@ -4,9 +4,9 @@
 // queries — a per-point Predict leg (the pre-batching baseline), batched
 // Assign legs across batch sizes, and a mixed single/batch closed loop.
 // Every leg reports throughput (points/s) and per-call latency quantiles
-// (p50/p99), and the run cross-checks the determinism contract: batched
-// labels must be bitwise identical to per-point labels at 1, 2, and max
-// threads before any number is written.
+// (p50/p99), and the run cross-checks the determinism contract: a 512-point
+// Assign must be bitwise identical to 512 single-row Predict calls at 1, 2,
+// and max threads before any number is written.
 //
 // The headline number is speedup_batch256: batched Assign throughput at
 // batch 256 over the per-point Predict loop. `--smoke` shrinks the model
@@ -180,27 +180,29 @@ int main(int argc, char** argv) {
   const serve::BatchAssigner assigner(*handle);
   const mvsc::OutOfSampleModel& model = **handle;
 
-  // --- Parity gate first: batched labels must equal per-point labels
-  // bitwise at every thread count before any throughput is reported.
-  const std::size_t parity_points = smoke ? 256 : 512;
+  // --- Parity gate first: a whole-batch Assign must equal one single-row
+  // Predict per point, bitwise, at every thread count before any
+  // throughput is reported. The batch runs the GemmAdd dot panel over
+  // 64-row tiles, each single row the BlockedDot route.
+  const std::size_t parity_points = 512;
   const data::MultiViewDataset parity_batch = Slice(serve_pool, 0,
                                                     parity_points);
-  StatusOr<std::vector<std::size_t>> serial_labels =
-      model.Predict(parity_batch);
-  if (!serial_labels.ok()) return Fail(serial_labels.status().ToString().c_str());
+  std::vector<std::size_t> single_labels;
+  single_labels.reserve(parity_points);
+  for (std::size_t i = 0; i < parity_points; ++i) {
+    StatusOr<std::vector<std::size_t>> r =
+        model.Predict(Slice(serve_pool, i, 1));
+    if (!r.ok()) return Fail(r.status().ToString().c_str());
+    single_labels.push_back(r->front());
+  }
   const std::size_t max_threads = std::max<std::size_t>(8, DefaultNumThreads());
   const std::size_t thread_counts[] = {1, 2, max_threads};
   bool parity = true;
   for (std::size_t t : thread_counts) {
     ScopedNumThreads scope(t);
-    // Odd tile heights shift every tile boundary — parity must hold there
-    // too, not just at the default tiling.
-    serve::AssignOptions tiling;
-    tiling.tile_rows = (t == 2) ? 37 : 64;
-    StatusOr<std::vector<std::size_t>> batched =
-        serve::BatchAssigner(*handle, tiling).Assign(parity_batch);
+    StatusOr<std::vector<std::size_t>> batched = assigner.Assign(parity_batch);
     if (!batched.ok()) return Fail(batched.status().ToString().c_str());
-    parity = parity && (*batched == *serial_labels);
+    parity = parity && (*batched == single_labels);
   }
 
   // --- Per-point leg: the pre-batching baseline, one Predict per point on

@@ -1,6 +1,11 @@
 #include "mvsc/anchor_assign.h"
 
 #include <cmath>
+#include <vector>
+
+#include "common/parallel.h"
+#include "data/standardize.h"
+#include "la/gemm_kernel.h"
 
 namespace umvsc::mvsc::assign {
 
@@ -91,6 +96,67 @@ std::size_t RowArgMax(const double* scores, std::size_t c) {
     if (scores[j] > scores[best]) best = j;
   }
   return best;
+}
+
+void ForEachTile(std::size_t rows,
+                 const std::function<void(std::size_t, std::size_t)>& tile) {
+  // ParallelFor hands each thread a run of whole tiles; walk it tile by
+  // tile so scratch stays bounded by one tile.
+  ParallelFor(0, rows, kAssignTileRows,
+              [&](std::size_t begin, std::size_t end) {
+                for (std::size_t t = begin; t < end; t += kAssignTileRows) {
+                  tile(t, std::min(t + kAssignTileRows, end));
+                }
+              });
+}
+
+void AssignRows(const AnchorViewModel& view, const la::Vector& anchor_sq_norms,
+                std::size_t s, const double* raw, std::size_t rows,
+                std::size_t* cols, double* weights, double* u,
+                std::size_t u_stride) {
+  const std::size_t d = view.anchors.cols();
+  const std::size_t m = view.anchors.rows();
+  const std::size_t k = view.anchor_map.cols();
+  // Per-thread scratch; capacity sticks across calls.
+  static thread_local std::vector<double> xs;
+  static thread_local std::vector<double> d2;
+  xs.resize(rows * d);
+  d2.resize(rows * m);
+  for (std::size_t i = 0; i < rows; ++i) {
+    data::ApplyStandardizationRow(raw + i * d, d, view.feature_means,
+                                  view.feature_inv_stds, xs.data() + i * d);
+  }
+  // The dot panel d2(i, j) = x_i·a_j. One row is cheaper as a BlockedDot
+  // loop than as a GEMM that packs all m anchors; taller tiles amortize the
+  // packing. The anchors enter GemmAdd as a transposed operand (no
+  // materialized Aᵀ). Both routes give the same bits.
+  if (rows == 1) {
+    for (std::size_t j = 0; j < m; ++j) {
+      d2[j] = BlockedDot(xs.data(), view.anchors.RowPtr(j), d);
+    }
+  } else {
+    std::fill(d2.begin(), d2.end(), 0.0);
+    la::kernel::GemmAdd(m, d, {xs.data(), d, false},
+                        {view.anchors.data(), d, true}, d2.data(), m, 0, rows);
+  }
+  for (std::size_t i = 0; i < rows; ++i) {
+    const double nx = RowSquaredNorm(xs.data() + i * d, d);
+    double* row = d2.data() + i * m;
+    for (std::size_t j = 0; j < m; ++j) {
+      row[j] = SquaredFromDot(nx, anchor_sq_norms[j], row[j]);
+    }
+    std::size_t* row_cols = cols + i * s;
+    double* row_weights = weights + i * s;
+    SelectAnchorRow(row, m, s, row_cols, row_weights);
+    // u = z·anchor_map in ascending-anchor order.
+    double* u_row = u + i * u_stride;
+    std::fill(u_row, u_row + k, 0.0);
+    for (std::size_t r = 0; r < s; ++r) {
+      const double* map_row = view.anchor_map.RowPtr(row_cols[r]);
+      const double w = row_weights[r];
+      for (std::size_t t = 0; t < k; ++t) u_row[t] += w * map_row[t];
+    }
+  }
 }
 
 }  // namespace umvsc::mvsc::assign

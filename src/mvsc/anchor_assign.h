@@ -3,20 +3,24 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <functional>
 
 #include "la/matrix.h"
+#include "la/vector.h"
+#include "mvsc/anchor_unified.h"
 
-// Shared arithmetic of anchor-model serving — the primitives BOTH the
-// per-point path (OutOfSampleModel::Predict) and the batched path
-// (serve::BatchAssigner::Assign) are built from, so the two produce
-// bitwise-identical labels by construction rather than by luck:
+// The anchor-assignment driver: nearest anchors → reduced coordinates → a
+// discrete label, for new points of a fitted anchor model. AssignRows is
+// the one row-tile kernel every caller runs — OutOfSampleModel::Predict
+// (and serve::BatchAssigner::Assign, which forwards to it) and the
+// streaming solver's frozen-model extension — built from these primitives:
 //
 //   distances   d²(x, a_j) = max(0, ‖x‖² + ‖a_j‖² − 2·x·a_j), the Gram
 //               expansion of graph::CrossSquaredDistancePanel, with the dot
-//               on the kc-blocked accumulation grid of la::kernel::GemmAdd
-//               (BlockedDot below). A batched GemmAdd dot panel and a
-//               per-point BlockedDot therefore agree bit for bit — and both
-//               equal the training-side scalar dot whenever d ≤ kGemmKcBlock.
+//               on the kc-blocked accumulation grid of la::kernel::GemmAdd.
+//               A one-row tile takes BlockedDot, a taller tile one GemmAdd
+//               dot panel; the two agree bit for bit — and both equal the
+//               training-side scalar dot whenever d ≤ kGemmKcBlock.
 //   selection   SelectAnchorRow: the exact row rule of
 //               graph::BuildAnchorAffinity (s nearest anchors, ties to the
 //               smaller index, self-tuning bandwidth = own s-th-nearest
@@ -24,13 +28,14 @@
 //               normalized, sorted to ascending anchor order).
 //   coordinates ascending-column accumulation u = z·anchor_map — the
 //               documented element order of CsrMatrix::MultiplyInto, so a
-//               per-point loop equals the batched SpMM.
+//               row equals the training side's SpMM row.
 //   scores      BlockedVecMatAdd: scores += u·assignment on the same GemmAdd
-//               kc grid, so a per-point vector-matrix product equals a row of
-//               the batched la::MatMul.
+//               kc grid, so a vector-matrix product equals a row of la::MatMul.
 //   argmax      RowArgMax: strict >, ties keep the smaller cluster index,
 //               matching the training discretization.
 //
+// Every step is a pure function of one row, so labels do not depend on the
+// thread count, the tile grid, or how a batch is split into calls.
 // docs/SERVING.md spells out the full determinism contract.
 
 namespace umvsc::mvsc::assign {
@@ -73,6 +78,30 @@ void BlockedVecMatAdd(const double* u, const la::Matrix& a, double* out);
 
 /// Index of the row maximum; strict >, so ties keep the smaller index.
 std::size_t RowArgMax(const double* scores, std::size_t c);
+
+/// Rows per tile of the assignment driver. Tiles bound the per-thread
+/// scratch (kAssignTileRows × max(d, m) doubles); the labels do not depend
+/// on it.
+inline constexpr std::size_t kAssignTileRows = 64;
+
+/// Runs tile(begin, end) over [0, rows) cut into kAssignTileRows-row tiles,
+/// distributed by ParallelFor. `tile` must write only its own rows.
+void ForEachTile(std::size_t rows,
+                 const std::function<void(std::size_t, std::size_t)>& tile);
+
+/// The row-tile kernel. For `rows` raw rows of one view (row-major, stride
+/// d = view.anchors.cols()): standardizes them with the view's statistics,
+/// takes their dots with the m anchors (BlockedDot for one row, one GemmAdd
+/// panel otherwise), turns them into Gram distances against
+/// `anchor_sq_norms` (‖a_j‖², ascending-feature sums), selects each row's
+/// s-sparse anchor row, and accumulates u = z·anchor_map in ascending-anchor
+/// order. Writes row i's anchor columns and weights at cols/weights + i·s
+/// and its k_v = view.anchor_map.cols() coordinates at u + i·u_stride
+/// (overwritten, not added to). Scratch is per thread and reused.
+void AssignRows(const AnchorViewModel& view, const la::Vector& anchor_sq_norms,
+                std::size_t s, const double* raw, std::size_t rows,
+                std::size_t* cols, double* weights, double* u,
+                std::size_t u_stride);
 
 }  // namespace umvsc::mvsc::assign
 

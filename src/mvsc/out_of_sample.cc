@@ -29,8 +29,9 @@ StatusOr<OutOfSampleModel> OutOfSampleModel::Fit(
     return Status::InvalidArgument("one view weight per view required");
   }
   for (double w : view_weights) {
-    if (w < 0.0) {
-      return Status::InvalidArgument("view weights must be nonnegative");
+    if (!std::isfinite(w) || w < 0.0) {
+      return Status::InvalidArgument(
+          "view weights must be finite and nonnegative");
     }
   }
   if (options.knn < 1 || options.knn >= n) {
@@ -138,62 +139,36 @@ StatusOr<std::vector<std::size_t>> OutOfSampleModel::Predict(
                       batch.views[v].cols(), model.views[v].anchors.cols()));
       }
     }
-    const std::size_t count = batch.NumSamples();
-    std::vector<std::size_t> predictions(count, 0);
-    // Scratch hoisted out of the point loop and reused — the serial path
-    // allocates nothing per point.
     const std::size_t s = model.anchor_neighbors;
-    std::size_t max_d = 0, max_m = 0;
-    for (const AnchorViewModel& view : model.views) {
-      max_d = std::max(max_d, view.anchors.cols());
-      max_m = std::max(max_m, view.anchors.rows());
-    }
-    std::vector<double> x_std(max_d);
-    std::vector<double> d2(max_m);
-    std::vector<double> weights(s);
-    std::vector<std::size_t> sel_cols(s);
-    std::vector<double> coords(model.assignment.rows());
-    std::vector<double> scores(model.num_clusters);
-    for (std::size_t i = 0; i < count; ++i) {
-      std::fill(coords.begin(), coords.end(), 0.0);
-      std::size_t base = 0;
-      for (std::size_t v = 0; v < model.views.size(); ++v) {
-        const AnchorViewModel& view = model.views[v];
-        const la::Vector& a_norms = anchor_sq_norms_[v];
-        const std::size_t d = view.anchors.cols();
-        const std::size_t m = view.anchors.rows();
-        data::ApplyStandardizationRow(batch.views[v].RowPtr(i), d,
-                                      view.feature_means,
-                                      view.feature_inv_stds, x_std.data());
-        // Gram-expansion distances on the GemmAdd kc grid — one bit pattern
-        // shared with the batched dot panel of serve::BatchAssigner.
-        const double nx = assign::RowSquaredNorm(x_std.data(), d);
-        for (std::size_t j = 0; j < m; ++j) {
-          const double dot =
-              assign::BlockedDot(x_std.data(), view.anchors.RowPtr(j), d);
-          d2[j] = assign::SquaredFromDot(nx, a_norms[j], dot);
-        }
-        assign::SelectAnchorRow(d2.data(), m, s, sel_cols.data(),
-                                weights.data());
-        // u = z·anchor_map in ascending-anchor order — the element order of
-        // the batched SpMM (CsrMatrix::MultiplyInto).
-        const std::size_t k = view.anchor_map.cols();
-        double* u = coords.data() + base;
-        for (std::size_t r = 0; r < s; ++r) {
-          const double* map_row = view.anchor_map.RowPtr(sel_cols[r]);
-          const double w = weights[r];
-          for (std::size_t t = 0; t < k; ++t) u[t] += w * map_row[t];
-        }
-        base += k;
-      }
-      // scores = u·assignment on the same kc grid as the batched MatMul;
-      // strict `>` keeps the smaller cluster index on ties, as
-      // DiscretizeRows does.
-      std::fill(scores.begin(), scores.end(), 0.0);
-      assign::BlockedVecMatAdd(coords.data(), model.assignment,
-                               scores.data());
-      predictions[i] = assign::RowArgMax(scores.data(), model.num_clusters);
-    }
+    const std::size_t p = model.assignment.rows();
+    const std::size_t c = model.num_clusters;
+    std::vector<std::size_t> predictions(batch.NumSamples(), 0);
+    assign::ForEachTile(
+        batch.NumSamples(), [&](std::size_t begin, std::size_t end) {
+          // Tile-local scratch, reused across every tile this thread runs:
+          // the tile's anchor rows and its concatenated coordinates
+          // [u_1 | … | u_V], rows × p'.
+          static thread_local std::vector<std::size_t> cols;
+          static thread_local std::vector<double> weights, coords, scores;
+          const std::size_t rows = end - begin;
+          cols.resize(rows * s);
+          weights.resize(rows * s);
+          coords.resize(rows * p);
+          scores.resize(c);
+          std::size_t base = 0;
+          for (std::size_t v = 0; v < model.views.size(); ++v) {
+            assign::AssignRows(model.views[v], anchor_sq_norms_[v], s,
+                               batch.views[v].RowPtr(begin), rows, cols.data(),
+                               weights.data(), coords.data() + base, p);
+            base += model.views[v].anchor_map.cols();
+          }
+          for (std::size_t i = 0; i < rows; ++i) {
+            std::fill(scores.begin(), scores.end(), 0.0);
+            assign::BlockedVecMatAdd(coords.data() + i * p, model.assignment,
+                                     scores.data());
+            predictions[begin + i] = assign::RowArgMax(scores.data(), c);
+          }
+        });
     return predictions;
   }
   if (batch.NumViews() != views_.size()) {

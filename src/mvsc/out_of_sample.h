@@ -55,31 +55,28 @@ class OutOfSampleModel {
   /// training label (the anchor path assigns labels through the same chain;
   /// mvsc_out_of_sample_test pins this).
   ///
-  /// Every arithmetic step runs on the shared serving primitives of
+  /// Every row runs the one anchor-assignment kernel of
   /// mvsc/anchor_assign.h (Gram-expansion distances on the GemmAdd kc grid,
   /// the BuildAnchorAffinity row rule, ascending-column coordinate
-  /// accumulation, kc-blocked scoring), which is what makes the batched
-  /// path (serve::BatchAssigner) bitwise identical to this one.
+  /// accumulation, kc-blocked scoring), so a point's label does not depend
+  /// on the batch it arrives in, the tile grid, or the thread count.
   static StatusOr<OutOfSampleModel> FitAnchor(AnchorModel model);
 
   /// Predicts cluster ids for new points given as a multi-view batch with
   /// the same number and dimensionality of views as the training data
-  /// (labels in the batch, if any, are ignored).
+  /// (labels in the batch, if any, are ignored). Anchor models run the
+  /// batch in fixed row tiles under ParallelFor, each tile scored in
+  /// tile-local scratch; memory does not grow with the batch beyond the
+  /// returned labels. Safe to call concurrently on one model.
   StatusOr<std::vector<std::size_t>> Predict(
       const data::MultiViewDataset& batch) const;
 
   std::size_t num_clusters() const { return num_clusters_; }
 
-  /// The anchor serving model, when this model came from FitAnchor (the
-  /// batched serve path reads it); nullopt for exact-path models.
+  /// The anchor serving model, when this model came from FitAnchor;
+  /// nullopt for exact-path models.
   const std::optional<AnchorModel>& anchor_model() const {
     return anchor_model_;
-  }
-
-  /// Per-view squared norms of the anchor rows, cached by FitAnchor for the
-  /// Gram-expansion serving distances. Parallel to anchor_model()->views.
-  const std::vector<la::Vector>& anchor_sq_norms() const {
-    return anchor_sq_norms_;
   }
 
  private:

@@ -1,151 +1,18 @@
 #include "serve/batch_assign.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "common/check.h"
-#include "common/parallel.h"
-#include "common/strings.h"
-#include "data/standardize.h"
-#include "la/gemm_kernel.h"
-#include "la/ops.h"
-#include "la/sparse.h"
-#include "mvsc/anchor_assign.h"
 
 namespace umvsc::serve {
-namespace {
 
-using mvsc::AnchorModel;
-using mvsc::AnchorViewModel;
-
-constexpr std::size_t kDefaultTileRows = 64;
-
-/// The per-view tile kernel: for batch rows [row_begin, row_end), fill the
-/// rows' slots of the batch-level CSR arrays (`cols`/`vals` at i·s) with
-/// the s-sparse anchor row of every point. Tiles write disjoint ranges, so
-/// the ParallelFor over tiles is race-free and — because every arithmetic
-/// step sits on the anchor_assign primitives — bitwise independent of the
-/// tiling.
-void AssignTile(const AnchorViewModel& view, const la::Vector& a_norms,
-                const la::Matrix& batch_view, std::size_t s,
-                std::size_t row_begin, std::size_t row_end,
-                std::size_t* cols, double* vals) {
-  const std::size_t d = view.anchors.cols();
-  const std::size_t m = view.anchors.rows();
-  const std::size_t rows = row_end - row_begin;
-  // Per-thread scratch, reused across every tile this thread executes
-  // (capacity sticks; resize is a no-op after the first tile).
-  static thread_local std::vector<double> xs;
-  static thread_local std::vector<double> dots;
-  static thread_local std::vector<double> nx;
-  xs.resize(rows * d);
-  dots.resize(rows * m);
-  nx.resize(rows);
-
-  for (std::size_t i = 0; i < rows; ++i) {
-    data::ApplyStandardizationRow(batch_view.RowPtr(row_begin + i), d,
-                                  view.feature_means, view.feature_inv_stds,
-                                  xs.data() + i * d);
-    nx[i] = mvsc::assign::RowSquaredNorm(xs.data() + i * d, d);
-  }
-  // One packed-GEMM dot panel for the whole tile: dots(i, j) = x_i·a_j.
-  // The anchors enter as a transposed operand (no materialized Aᵀ), and the
-  // zero-initialized += panel reproduces BlockedDot bit for bit (the
-  // GemmAdd kc-grid contract).
-  std::fill(dots.begin(), dots.begin() + rows * m, 0.0);
-  la::kernel::GemmAdd(m, d, {xs.data(), d, false},
-                      {view.anchors.data(), d, true}, dots.data(), m, 0, rows);
-  for (std::size_t i = 0; i < rows; ++i) {
-    double* d2 = dots.data() + i * m;
-    for (std::size_t j = 0; j < m; ++j) {
-      d2[j] = mvsc::assign::SquaredFromDot(nx[i], a_norms[j], d2[j]);
-    }
-    mvsc::assign::SelectAnchorRow(d2, m, s, cols + (row_begin + i) * s,
-                                  vals + (row_begin + i) * s);
-  }
-}
-
-}  // namespace
-
-BatchAssigner::BatchAssigner(ModelHandle model, AssignOptions options)
-    : model_(std::move(model)), options_(options) {
+BatchAssigner::BatchAssigner(ModelHandle model) : model_(std::move(model)) {
   UMVSC_CHECK(model_ != nullptr, "BatchAssigner needs a model handle");
-  if (options_.tile_rows == 0) options_.tile_rows = kDefaultTileRows;
 }
 
 StatusOr<std::vector<std::size_t>> BatchAssigner::Assign(
     const data::MultiViewDataset& batch) const {
-  if (!model_->anchor_model()) {
-    // Exact-path models have no batched kernel — serve them through the
-    // per-point extension so one interface covers both kinds.
-    return model_->Predict(batch);
-  }
-  UMVSC_RETURN_IF_ERROR(batch.Validate());
-  const AnchorModel& model = *model_->anchor_model();
-  if (batch.NumViews() != model.views.size()) {
-    return Status::InvalidArgument(
-        StrFormat("batch has %zu views, model expects %zu", batch.NumViews(),
-                  model.views.size()));
-  }
-  for (std::size_t v = 0; v < model.views.size(); ++v) {
-    if (batch.views[v].cols() != model.views[v].anchors.cols()) {
-      return Status::InvalidArgument(
-          StrFormat("view %zu has %zu features, model expects %zu", v,
-                    batch.views[v].cols(), model.views[v].anchors.cols()));
-    }
-  }
-
-  const std::size_t n = batch.NumSamples();
-  std::vector<std::size_t> labels(n, 0);
-  if (n == 0) return labels;
-  const std::size_t s = model.anchor_neighbors;
-
-  // Concatenated reduced coordinates U = [u_1 | … | u_V], n × p'.
-  la::Matrix u(n, model.assignment.rows());
-  std::size_t base = 0;
-  for (std::size_t v = 0; v < model.views.size(); ++v) {
-    const AnchorViewModel& view = model.views[v];
-    const la::Vector& a_norms = model_->anchor_sq_norms()[v];
-    const std::size_t m = view.anchors.rows();
-    const std::size_t k = view.anchor_map.cols();
-
-    // Fixed s-per-row sparsity: offsets are a closed form, and each tile
-    // writes its own rows' column/value slots.
-    std::vector<std::size_t> offsets(n + 1);
-    for (std::size_t i = 0; i <= n; ++i) offsets[i] = i * s;
-    std::vector<std::size_t> cols(n * s);
-    std::vector<double> vals(n * s);
-    ParallelFor(0, n, options_.tile_rows,
-                [&](std::size_t begin, std::size_t end) {
-                  AssignTile(view, a_norms, batch.views[v], s, begin, end,
-                             cols.data(), vals.data());
-                });
-    la::CsrMatrix z = la::CsrMatrix::FromParts(
-        n, m, std::move(offsets), std::move(cols), std::move(vals));
-
-    // u_v = Z·anchor_map through the skinny SpMM, then into U's column
-    // block. MultiplyInto accumulates each element's nonzeros in CSR
-    // (ascending-anchor) order — the exact per-point loop order.
-    la::Matrix u_v(n, k);
-    z.MultiplyInto(view.anchor_map, u_v);
-    ParallelFor(0, n, 1024, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) {
-        std::copy(u_v.RowPtr(i), u_v.RowPtr(i) + k, u.RowPtr(i) + base);
-      }
-    });
-    base += k;
-  }
-
-  // scores = U·assignment in one packed GEMM (each row bitwise equal to the
-  // per-point BlockedVecMatAdd), then the tie-to-smaller-index argmax.
-  const la::Matrix scores = la::MatMul(u, model.assignment);
-  ParallelFor(0, n, 1024, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      labels[i] =
-          mvsc::assign::RowArgMax(scores.RowPtr(i), model.num_clusters);
-    }
-  });
-  return labels;
+  return model_->Predict(batch);
 }
 
 }  // namespace umvsc::serve

@@ -10,42 +10,22 @@
 
 namespace umvsc::serve {
 
-struct AssignOptions {
-  /// Points per work tile of the batched anchor path. Each tile
-  /// standardizes its rows, runs one packed-GEMM dot panel against every
-  /// view's anchors, and writes its CSR rows — tiles touch disjoint output
-  /// ranges, so any tile size (and any thread count) yields the same bits.
-  /// 0 falls back to the default.
-  std::size_t tile_rows = 64;
-};
-
-/// Batched out-of-sample assignment against a registry-held model — the
-/// high-QPS serving kernel. One Assign call over a b-point batch replaces b
-/// OutOfSampleModel::Predict calls:
-///
-///   per view, per tile: standardize rows → dot panel against the m anchors
-///   through la::kernel::GemmAdd (packed SIMD GEMM; anchors as a transposed
-///   operand, no materialized copy) → Gram-expansion distances →
-///   SelectAnchorRow into the batch CSR arrays
-///   per view: one skinny SpMM (CsrMatrix::MultiplyInto) maps the n × m
-///   bipartite block through anchor_map into the reduced coordinates
-///   finally: one n × p' × c MatMul scores every point, row-argmax labels
-///
-/// Every step runs on the shared primitives of mvsc/anchor_assign.h (see
-/// the contract there), so labels are bitwise identical to the per-point
-/// Predict path at every thread count and tile size — the batched path is
-/// a reassociation-free re-tiling, not an approximation.
-///
-/// Exact-path (non-anchor) models have no batched kernel; Assign forwards
-/// to Predict so callers can serve either kind through one interface.
+/// Out-of-sample assignment against a registry-held model — the serving
+/// entry point. It holds a ModelHandle, so the model outlives registry
+/// swaps, and answers a b-point batch with one OutOfSampleModel::Predict
+/// call. For anchor models that runs the one anchor-assignment driver of
+/// mvsc/anchor_assign.h over fixed row tiles (a one-row batch takes the
+/// BlockedDot route, taller tiles one packed-GEMM dot panel per view), so
+/// labels are bitwise identical to per-point Predict at every batch size
+/// and thread count. Exact-path models run their training-point vote
+/// through the same call.
 ///
 /// Thread safety: Assign is const and touches only immutable model state —
 /// safe to call concurrently on one BatchAssigner.
 class BatchAssigner {
  public:
   /// `model` must be non-null (UMVSC_CHECK); typically ModelRegistry::Get.
-  /// The assigner shares ownership, so the model outlives registry swaps.
-  explicit BatchAssigner(ModelHandle model, AssignOptions options = {});
+  explicit BatchAssigner(ModelHandle model);
 
   /// Labels for every point of `batch`, in row order.
   StatusOr<std::vector<std::size_t>> Assign(
@@ -55,7 +35,6 @@ class BatchAssigner {
 
  private:
   ModelHandle model_;
-  AssignOptions options_;
 };
 
 }  // namespace umvsc::serve

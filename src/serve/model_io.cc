@@ -1,6 +1,7 @@
 #include "serve/model_io.h"
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -378,9 +379,10 @@ StatusOr<mvsc::OutOfSampleModel> ModelSerializer::ExactCodec::Deserialize(
       return Status::InvalidArgument(
           StrFormat("exact model view %zu has inconsistent shapes", v));
     }
-    if (model.view_weights_[v] < 0.0) {
+    if (!std::isfinite(model.view_weights_[v]) ||
+        model.view_weights_[v] < 0.0) {
       return Status::InvalidArgument(
-          "exact model view weights must be nonnegative");
+          "exact model view weights must be finite and nonnegative");
     }
   }
   return model;

@@ -9,6 +9,7 @@
 #include "data/standardize.h"
 #include "exec/executor.h"
 #include "graph/anchors.h"
+#include "graph/distance.h"
 #include "la/ops.h"
 #include "la/sparse.h"
 #include "mvsc/anchor_assign.h"
@@ -50,7 +51,7 @@ StatusOr<StreamingUnifiedMVSC> StreamingUnifiedMVSC::Create(
 
 std::size_t StreamingUnifiedMVSC::view_basis_dims(std::size_t view) const {
   UMVSC_CHECK(view < views_.size(), "view index out of range");
-  return views_[view].anchor_map.cols();
+  return views_[view].model.anchor_map.cols();
 }
 
 Status StreamingUnifiedMVSC::CheckBatch(
@@ -92,36 +93,25 @@ void StreamingUnifiedMVSC::AppendRaw(const data::MultiViewDataset& batch) {
 
 void StreamingUnifiedMVSC::ExtendRows(std::size_t first_row) {
   const std::size_t s = options_.unified.anchors.anchor_neighbors;
+  const std::size_t fresh = rows_ - first_row;
   for (ViewState& view : views_) {
+    // Grow the flat model arrays by the fresh rows, then fill them with the
+    // anchor-assignment kernel — the serving row rule, bitwise equal to
+    // the batched training path.
     const std::size_t d = view.dim;
-    const std::size_t m = view.anchors.rows();
-    const std::size_t k = view.anchor_map.cols();
-    std::vector<double> x(d), d2(m), zw(s);
-    std::vector<std::size_t> zc(s);
-    for (std::size_t i = first_row; i < rows_; ++i) {
-      // Serving row rule (mvsc/anchor_assign.h): standardize → blocked
-      // distances → s-sparse self-tuning row → u = z·anchor_map in
-      // ascending anchor order. Bitwise equal to the batched training path.
-      data::ApplyStandardizationRow(view.raw.data() + (head_ + i) * d, d,
-                                    view.feature_means, view.feature_inv_stds,
-                                    x.data());
-      const double nx = mvsc::assign::RowSquaredNorm(x.data(), d);
-      for (std::size_t j = 0; j < m; ++j) {
-        const double dot =
-            mvsc::assign::BlockedDot(x.data(), view.anchors.RowPtr(j), d);
-        d2[j] = mvsc::assign::SquaredFromDot(nx, view.anchor_norms[j], dot);
-      }
-      mvsc::assign::SelectAnchorRow(d2.data(), m, s, zc.data(), zw.data());
-      view.z_cols.insert(view.z_cols.end(), zc.begin(), zc.end());
-      view.z_vals.insert(view.z_vals.end(), zw.begin(), zw.end());
-      const std::size_t u_at = view.u.size();
-      view.u.resize(u_at + k, 0.0);
-      double* u_row = view.u.data() + u_at;
-      for (std::size_t t = 0; t < s; ++t) {
-        const double* map_row = view.anchor_map.RowPtr(zc[t]);
-        for (std::size_t j = 0; j < k; ++j) u_row[j] += zw[t] * map_row[j];
-      }
-    }
+    const std::size_t k = view.model.anchor_map.cols();
+    const std::size_t at = view.z_cols.size() / s;
+    view.z_cols.resize((at + fresh) * s);
+    view.z_vals.resize((at + fresh) * s);
+    view.u.resize((at + fresh) * k);
+    const double* raw = view.raw.data() + (head_ + first_row) * d;
+    mvsc::assign::ForEachTile(fresh, [&](std::size_t begin, std::size_t end) {
+      mvsc::assign::AssignRows(view.model, view.anchor_norms, s,
+                               raw + begin * d, end - begin,
+                               view.z_cols.data() + (at + begin) * s,
+                               view.z_vals.data() + (at + begin) * s,
+                               view.u.data() + (at + begin) * k, k);
+    });
   }
 }
 
@@ -144,7 +134,7 @@ void StreamingUnifiedMVSC::CompactWindow() {
     drop(view.raw, view.dim);
     drop(view.z_cols, options_.unified.anchors.anchor_neighbors);
     drop(view.z_vals, options_.unified.anchors.anchor_neighbors);
-    drop(view.u, view.anchor_map.cols());
+    drop(view.u, view.model.anchor_map.cols());
   }
   head_ = 0;
 }
@@ -165,11 +155,11 @@ Status StreamingUnifiedMVSC::SolveWindow(
 
   // Joint basis over the window from the flat per-view embedding rows.
   std::size_t p_full = 0;
-  for (const ViewState& view : views_) p_full += view.anchor_map.cols();
+  for (const ViewState& view : views_) p_full += view.model.anchor_map.cols();
   la::Matrix concat(rows_, p_full);
   std::size_t col0 = 0;
   for (const ViewState& view : views_) {
-    const std::size_t k = view.anchor_map.cols();
+    const std::size_t k = view.model.anchor_map.cols();
     for (std::size_t i = 0; i < rows_; ++i) {
       const double* src = view.u.data() + (head_ + i) * k;
       std::copy(src, src + k, concat.RowPtr(i) + col0);
@@ -193,7 +183,7 @@ Status StreamingUnifiedMVSC::SolveWindow(
   std::vector<la::CsrMatrix> reduced(num_views);
   for (std::size_t v = 0; v < num_views; ++v) {
     const ViewState& view = views_[v];
-    const std::size_t m = view.anchors.rows();
+    const std::size_t m = view.model.anchors.rows();
     std::vector<double> inv_sqrt_mass(m, 0.0);
     for (std::size_t e = head_ * s; e < (head_ + rows_) * s; ++e) {
       inv_sqrt_mass[view.z_cols[e]] += view.z_vals[e];
@@ -211,7 +201,7 @@ Status StreamingUnifiedMVSC::SolveWindow(
       vals[e] = view.z_vals[head_ * s + e] * inv_sqrt_mass[cols[e]];
     }
     const la::CsrMatrix zhat =
-        la::CsrMatrix::FromParts(rows_, view.anchors.rows(), std::move(offsets),
+        la::CsrMatrix::FromParts(rows_, m, std::move(offsets),
                                  std::move(cols), std::move(vals));
     const la::Matrix e = zhat.Transposed().Multiply(basis);
     la::Matrix h = la::Add(btb, la::Gram(e), -1.0);
@@ -307,23 +297,23 @@ Status StreamingUnifiedMVSC::FullResolveNow(const std::string& reason,
 
     la::CsrMatrix z;
     if (reselect) {
-      data::ColumnStandardization(x, &view.feature_means,
-                                  &view.feature_inv_stds);
-      data::ApplyStandardizationInPlace(x, view.feature_means,
-                                        view.feature_inv_stds);
+      data::ColumnStandardization(x, &view.model.feature_means,
+                                  &view.model.feature_inv_stds);
+      data::ApplyStandardizationInPlace(x, view.model.feature_means,
+                                        view.model.feature_inv_stds);
       graph::AnchorOptions aopts;
       aopts.num_anchors = m;
       aopts.selection = uopts.anchors.selection;
       aopts.seed = uopts.seed + 211 * (v + 1) + 10007 * full_resolves_;
       StatusOr<la::Matrix> anchors = graph::SelectAnchors(x, aopts);
       if (!anchors.ok()) return anchors.status();
-      view.anchors = std::move(*anchors);
+      view.model.anchors = std::move(*anchors);
 
       graph::AnchorGraphOptions gopts;
       gopts.anchor_neighbors = s;
       gopts.tile_rows = uopts.anchors.tile_rows;
       StatusOr<la::CsrMatrix> z_or =
-          graph::BuildAnchorAffinity(x, view.anchors, gopts);
+          graph::BuildAnchorAffinity(x, view.model.anchors, gopts);
       if (!z_or.ok()) return z_or.status();
       z = std::move(*z_or);
       for (std::size_t i = 0; i < rows_; ++i) {
@@ -347,11 +337,7 @@ Status StreamingUnifiedMVSC::FullResolveNow(const std::string& reason,
                               view.z_vals.begin() + rows_ * s));
     }
 
-    view.anchor_norms = la::Vector(m, 0.0);
-    for (std::size_t j = 0; j < m; ++j) {
-      view.anchor_norms[j] =
-          mvsc::assign::RowSquaredNorm(view.anchors.RowPtr(j), view.dim);
-    }
+    view.anchor_norms = graph::RowSquaredNorms(view.model.anchors);
 
     cluster::AnchorEmbeddingOptions eopts;
     eopts.dims = k_view;
@@ -361,7 +347,7 @@ Status StreamingUnifiedMVSC::FullResolveNow(const std::string& reason,
     StatusOr<cluster::AnchorEmbeddingResult> emb =
         cluster::AnchorSpectralEmbedding(z, eopts);
     if (!emb.ok()) return emb.status();
-    view.anchor_map = std::move(emb->anchor_map);
+    view.model.anchor_map = std::move(emb->anchor_map);
     // Stride off the artifact (a truncated eigensolve can return fewer
     // than k_view directions; anchor_map.cols() is always the truth).
     view.u.assign(

@@ -9,6 +9,7 @@
 #include "data/dataset.h"
 #include "la/matrix.h"
 #include "la/vector.h"
+#include "mvsc/anchor_unified.h"
 #include "mvsc/unified.h"
 
 namespace umvsc::exec {
@@ -110,9 +111,11 @@ struct StreamingUpdateResult {
 ///                 SolveUnifiedAnchors on the window.
 ///   incremental   the per-view model (anchors, standardization,
 ///                 anchor_map) stays FROZEN — the degree normalization is
-///                 recomputed from the live window; each new point extends
-///                 in O(s·k) per view through the serving row rule
-///                 (mvsc/anchor_assign.h), window rows append/evict in
+///                 recomputed from the live window; new points extend
+///                 through the anchor-assignment kernel that serving runs
+///                 (mvsc/anchor_assign.h: fixed row tiles under
+///                 ParallelFor, O(m·d + s·k) per point and view), window
+///                 rows append/evict in
 ///                 O(1) amortized on flat uniform-stride arrays (no CSR
 ///                 rebuild), the joint basis and reduced Laplacians are
 ///                 recomputed over the window (linear in window size), and
@@ -124,7 +127,7 @@ struct StreamingUpdateResult {
 ///                 anchor re-selection from the retained raw features).
 ///
 /// Determinism: every kernel underneath is bitwise deterministic across
-/// thread counts, the per-point extension follows the serving determinism
+/// thread counts, the row extension follows the serving determinism
 /// contract (docs/SERVING.md), and batch composition is caller-controlled —
 /// so labels, objectives, and drift triggers are bitwise identical at every
 /// UMVSC_NUM_THREADS setting.
@@ -161,11 +164,9 @@ class StreamingUnifiedMVSC {
   /// advance and appending is a push_back — never a CSR rebuild.
   struct ViewState {
     std::size_t dim = 0;             ///< raw feature count (fixed at batch 1)
-    la::Vector feature_means;        ///< frozen z-scoring map
-    la::Vector feature_inv_stds;
-    la::Matrix anchors;              ///< m × dim, standardized space
-    la::Vector anchor_norms;         ///< ‖a_j‖² per anchor (serving order)
-    la::Matrix anchor_map;           ///< m × k_v out-of-sample extension
+    mvsc::AnchorViewModel model;     ///< frozen standardization, anchors,
+                                     ///< and anchor_map (m × k_v)
+    la::Vector anchor_norms;         ///< ‖a_j‖² per anchor
     std::vector<double> raw;         ///< stride dim — RAW rows (for re-solve)
     std::vector<std::size_t> z_cols; ///< stride s — anchor row indices
     std::vector<double> z_vals;      ///< stride s — anchor row weights
@@ -175,7 +176,8 @@ class StreamingUnifiedMVSC {
   Status CheckBatch(const data::MultiViewDataset& batch) const;
   void AppendRaw(const data::MultiViewDataset& batch);
   /// Extends the frozen model to rows [first_row, rows_) of the window:
-  /// standardize → serving z row → u = z·anchor_map, appended flat.
+  /// grows z_cols/z_vals/u by those rows and fills them with
+  /// mvsc::assign::AssignRows (standardize → z row → u = z·anchor_map).
   void ExtendRows(std::size_t first_row);
   void Evict(std::size_t count);
   /// Erases the dead head_ rows from every flat array and resets head_ to 0.

@@ -164,5 +164,47 @@ TEST(AnchorAssignTest, SquaredFromDotClampsAtZero) {
   EXPECT_EQ(SquaredFromDot(4.0, 1.0, 1.0), 3.0);
 }
 
+// The driver's two dot routes — BlockedDot for a one-row call, one GemmAdd
+// panel for a taller tile — must give every row the same anchor columns,
+// weights and coordinates bit for bit, below and past the kc block edge.
+TEST(AnchorAssignTest, AssignRowsGivesEachRowTheSameBitsAtEveryTileHeight) {
+  for (std::size_t d : {std::size_t{20}, kGemmKcBlock + 44}) {
+    const std::size_t m = 24, k = 5, s = 4, rows = 9;
+    AnchorViewModel view;
+    view.anchors = la::Matrix(m, d);
+    view.anchor_map = la::Matrix(m, k);
+    const std::vector<double> a = RandomDoubles(m * d, 31 + d);
+    const std::vector<double> map = RandomDoubles(m * k, 32 + d);
+    std::copy(a.begin(), a.end(), view.anchors.data());
+    std::copy(map.begin(), map.end(), view.anchor_map.data());
+    view.feature_means = la::Vector(d, 0.1);
+    view.feature_inv_stds = la::Vector(d, 2.0);
+    la::Vector norms(m);
+    for (std::size_t j = 0; j < m; ++j) {
+      norms[j] = RowSquaredNorm(view.anchors.RowPtr(j), d);
+    }
+    const std::vector<double> raw = RandomDoubles(rows * d, 33 + d);
+
+    std::vector<std::size_t> cols(rows * s);
+    std::vector<double> weights(rows * s), u(rows * k);
+    AssignRows(view, norms, s, raw.data(), rows, cols.data(), weights.data(),
+               u.data(), k);
+    for (std::size_t i = 0; i < rows; ++i) {
+      std::vector<std::size_t> one_cols(s);
+      std::vector<double> one_weights(s), one_u(k);
+      AssignRows(view, norms, s, raw.data() + i * d, 1, one_cols.data(),
+                 one_weights.data(), one_u.data(), k);
+      for (std::size_t r = 0; r < s; ++r) {
+        EXPECT_EQ(one_cols[r], cols[i * s + r]) << "d " << d << " row " << i;
+        EXPECT_EQ(one_weights[r], weights[i * s + r])
+            << "d " << d << " row " << i;
+      }
+      for (std::size_t t = 0; t < k; ++t) {
+        EXPECT_EQ(one_u[t], u[i * k + t]) << "d " << d << " row " << i;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace umvsc::mvsc::assign

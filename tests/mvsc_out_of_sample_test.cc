@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <numeric>
+#include <random>
+
 #include "data/synthetic.h"
 #include "eval/metrics.h"
 #include "mvsc/unified.h"
@@ -117,6 +122,75 @@ TEST(OutOfSampleTest, FitValidatesInputs) {
   EXPECT_FALSE(OutOfSampleModel::Fit(split.train, split.train.labels, uniform,
                                      options)
                    .ok());
+}
+
+TEST(OutOfSampleTest, FitRejectsNonFiniteViewWeights) {
+  Split split = MakeSplit(86);
+  // NaN < 0 is false, so a sign check alone would let NaN through and turn
+  // every fused affinity into NaN.
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity()}) {
+    const std::vector<double> weights{0.5, bad};
+    StatusOr<OutOfSampleModel> model =
+        OutOfSampleModel::Fit(split.train, split.train.labels, weights);
+    ASSERT_FALSE(model.ok()) << "weight " << bad;
+    EXPECT_EQ(model.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+/// `batch` with its rows reordered: row i of the result is row order[i].
+data::MultiViewDataset PermuteRows(const data::MultiViewDataset& batch,
+                                   const std::vector<std::size_t>& order) {
+  data::MultiViewDataset out;
+  for (const la::Matrix& view : batch.views) {
+    la::Matrix m(order.size(), view.cols());
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      std::copy(view.RowPtr(order[i]), view.RowPtr(order[i]) + view.cols(),
+                m.RowPtr(i));
+    }
+    out.views.push_back(std::move(m));
+  }
+  return out;
+}
+
+// Metamorphic: a point's label depends on that point alone, so permuting
+// a batch's rows permutes its labels — for the anchor path (whose rows are
+// spread over several row tiles) and the exact path alike.
+TEST(OutOfSampleTest, PermutingRowsPermutesLabels) {
+  Split split = MakeSplit(87);
+  UnifiedOptions options;
+  options.num_clusters = 3;
+  options.seed = 5;
+  options.anchors.enabled = true;
+  options.anchors.num_anchors = 32;
+  options.anchors.anchor_neighbors = 5;
+  StatusOr<AnchorUnifiedResult> fitted =
+      SolveUnifiedAnchors(split.train, options);
+  ASSERT_TRUE(fitted.ok()) << fitted.status().ToString();
+  StatusOr<OutOfSampleModel> anchor =
+      OutOfSampleModel::FitAnchor(fitted->model);
+  ASSERT_TRUE(anchor.ok()) << anchor.status().ToString();
+  StatusOr<OutOfSampleModel> exact = OutOfSampleModel::Fit(
+      split.train, split.train.labels, std::vector<double>{0.6, 0.4});
+  ASSERT_TRUE(exact.ok()) << exact.status().ToString();
+
+  const std::size_t n = split.train.NumSamples();
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::shuffle(order.begin(), order.end(), std::mt19937(87));
+  const data::MultiViewDataset permuted = PermuteRows(split.train, order);
+
+  for (const OutOfSampleModel* model : {&*anchor, &*exact}) {
+    StatusOr<std::vector<std::size_t>> base = model->Predict(split.train);
+    StatusOr<std::vector<std::size_t>> moved = model->Predict(permuted);
+    ASSERT_TRUE(base.ok()) << base.status().ToString();
+    ASSERT_TRUE(moved.ok()) << moved.status().ToString();
+    ASSERT_EQ(moved->size(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ((*moved)[i], (*base)[order[i]])
+          << (model->anchor_model() ? "anchor" : "exact") << " row " << i;
+    }
+  }
 }
 
 // The anchor-mode serving path: FitAnchor wraps the model of a completed

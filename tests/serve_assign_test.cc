@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -22,7 +23,7 @@ struct Fixture {
 };
 
 // One view is 300-dimensional — past la::kernel's 256-wide kc block — so
-// the parity assertions cover the multi-block accumulation path, not just
+// the split assertions cover the multi-block accumulation path, not just
 // the degenerate single-block case.
 Fixture MakeFixture(std::uint64_t seed) {
   data::MultiViewConfig config;
@@ -62,24 +63,42 @@ ModelHandle MakeAnchorHandle(const Fixture& fx) {
   return std::make_shared<const mvsc::OutOfSampleModel>(*std::move(model));
 }
 
-TEST(BatchAssignTest, BatchedLabelsMatchPerPointBitwise) {
+/// Rows [begin, begin + count) of `src` as an unlabeled batch.
+data::MultiViewDataset Rows(const data::MultiViewDataset& src,
+                            std::size_t begin, std::size_t count) {
+  data::MultiViewDataset out;
+  for (const la::Matrix& view : src.views) {
+    out.views.push_back(view.Block(begin, 0, count, view.cols()));
+  }
+  return out;
+}
+
+TEST(BatchAssignTest, LabelsDoNotDependOnHowTheBatchIsSplit) {
   const Fixture fx = MakeFixture(71);
   const ModelHandle handle = MakeAnchorHandle(fx);
-  auto serial = handle->Predict(fx.test);
-  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+  const BatchAssigner assigner(handle);
+  const std::size_t n = fx.test.NumSamples();
+  ASSERT_GT(n, std::size_t{65});
 
-  // The whole grid: thread counts × tile heights, including a tile of one
-  // row (every point its own GEMM panel) and a prime height that misaligns
-  // every boundary. One bit of divergence anywhere fails the contract.
+  // Single-row calls take the BlockedDot route; chunks of 7, 63, 64 and 65
+  // rows take the GemmAdd panel with tile edges before, at and past the
+  // 64-row tile. Every split must reproduce the whole batch bit for bit,
+  // at every thread count.
   for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
     ScopedNumThreads scope(threads);
-    for (std::size_t tile : {std::size_t{1}, std::size_t{7}, std::size_t{64}}) {
-      AssignOptions options;
-      options.tile_rows = tile;
-      auto batched = BatchAssigner(handle, options).Assign(fx.test);
-      ASSERT_TRUE(batched.ok()) << batched.status().ToString();
-      EXPECT_EQ(*batched, *serial)
-          << "threads " << threads << " tile_rows " << tile;
+    auto whole = assigner.Assign(fx.test);
+    ASSERT_TRUE(whole.ok()) << whole.status().ToString();
+    ASSERT_EQ(whole->size(), n);
+    for (std::size_t chunk : {std::size_t{1}, std::size_t{7}, std::size_t{63},
+                              std::size_t{64}, std::size_t{65}}) {
+      std::vector<std::size_t> joined;
+      for (std::size_t begin = 0; begin < n; begin += chunk) {
+        auto part = assigner.Assign(Rows(fx.test, begin,
+                                         std::min(chunk, n - begin)));
+        ASSERT_TRUE(part.ok()) << part.status().ToString();
+        joined.insert(joined.end(), part->begin(), part->end());
+      }
+      EXPECT_EQ(joined, *whole) << "threads " << threads << " chunk " << chunk;
     }
   }
 }

@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "common/check.h"
+#include "common/crc32.h"
 #include "data/synthetic.h"
 #include "mvsc/anchor_unified.h"
 #include "mvsc/out_of_sample.h"
@@ -152,6 +156,48 @@ TEST(ModelIoTest, TrailingBytesAreRejected) {
   std::string bytes = ModelSerializer::Serialize(MakeAnchorModel(fx));
   bytes.push_back('\0');
   EXPECT_FALSE(ModelSerializer::Deserialize(bytes).ok());
+}
+
+/// Writes `value` as `width` little-endian bytes at bytes[at].
+void PutLittleEndian(std::string* bytes, std::size_t at, std::uint64_t value,
+                     std::size_t width) {
+  for (std::size_t i = 0; i < width; ++i) {
+    (*bytes)[at + i] = static_cast<char>((value >> (8 * i)) & 0xFF);
+  }
+}
+
+// A NaN view weight with a valid CRC is well-framed but meaningless: the
+// loader must reject it as it rejects a negative weight (NaN < 0 is false,
+// so a sign check alone would let it through).
+TEST(ModelIoTest, NonFiniteExactViewWeightIsRejected) {
+  const Fixture fx = MakeFixture(39);
+  std::string bytes = ModelSerializer::Serialize(MakeExactModel(fx));
+  // The exact model section is the last one: u64 label count, the labels,
+  // u64 weight count, the weights — then the u32 CRC closes the file.
+  const std::size_t n = fx.train.NumSamples();
+  const std::size_t views = fx.train.NumViews();
+  const std::size_t payload_len = 8 + 8 * n + 8 + 8 * views;
+  const std::size_t crc_at = bytes.size() - 4;
+  const std::size_t payload_at = crc_at - payload_len;
+  std::uint64_t framed_len = 0;
+  for (std::size_t i = 0; i < 8; ++i) {
+    framed_len |= std::uint64_t{static_cast<unsigned char>(
+                      bytes[payload_at - 8 + i])}
+                  << (8 * i);
+  }
+  ASSERT_EQ(framed_len, payload_len);
+
+  const std::size_t weight_at = payload_at + 8 + 8 * n + 8;
+  PutLittleEndian(&bytes, weight_at,
+                  std::bit_cast<std::uint64_t>(
+                      std::numeric_limits<double>::quiet_NaN()),
+                  8);
+  PutLittleEndian(&bytes, crc_at, Crc32(bytes.data() + payload_at, payload_len),
+                  4);
+  auto loaded = ModelSerializer::Deserialize(bytes);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
+      << loaded.status().ToString();
 }
 
 TEST(ModelIoTest, SaveThenLoadRoundTripsThroughAFile) {
