@@ -182,8 +182,9 @@ int main(int argc, char** argv) {
 
   // --- Parity gate first: a whole-batch Assign must equal one single-row
   // Predict per point, bitwise, at every thread count before any
-  // throughput is reported. The batch runs the GemmAdd dot panel over
-  // 64-row tiles, each single row the BlockedDot route.
+  // throughput is reported. The batch runs 64-row tiles through GemmAdd's
+  // 4×8 register tiles, each single row its 1×16 one-row kernel, both
+  // against the anchors packed once at FitAnchor.
   const std::size_t parity_points = 512;
   const data::MultiViewDataset parity_batch = Slice(serve_pool, 0,
                                                     parity_points);

@@ -1,5 +1,6 @@
 #include "la/gemm_kernel.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cctype>
 #include <cstdlib>
@@ -55,6 +56,30 @@ void GemmAdd(std::size_t n, std::size_t k, const Operand& a, const Operand& b,
                                           row_end);
   } else {
     GemmAddScalar(n, k, a, b, c, c_stride, row_begin, row_end);
+  }
+}
+
+PackedB PackB(std::size_t n, std::size_t k, const Operand& b) {
+  PackedB packed;
+  packed.n = n;
+  packed.k = k;
+  const std::size_t width = detail::PackedWidth(n);
+  packed.strips.resize(width * k);
+  for (std::size_t kk = 0; kk < k; kk += kKc) {
+    detail::PackB(b, kk, std::min(kKc, k - kk), n,
+                  packed.strips.data() + width * kk);
+  }
+  return packed;
+}
+
+void GemmAdd(const Operand& a, const PackedB& b, double* c,
+             std::size_t c_stride, std::size_t row_begin,
+             std::size_t row_end) {
+  if (SimdEnabled()) {
+    detail::GemmAddPackedImpl<simd::NativeVec4>(a, b, c, c_stride, row_begin,
+                                                row_end);
+  } else {
+    detail::GemmAddPackedScalar(a, b, c, c_stride, row_begin, row_end);
   }
 }
 

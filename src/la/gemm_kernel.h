@@ -2,6 +2,7 @@
 #define UMVSC_LA_GEMM_KERNEL_H_
 
 #include <cstddef>
+#include <vector>
 
 #include "la/simd.h"
 
@@ -45,9 +46,16 @@ struct Operand {
   }
 };
 
+/// kc: the p-block edge of GemmAdd's accumulation grid. THE
+/// determinism-relevant constant — the grid is the ⌈k/kKc⌉ blocking of the
+/// inner dimension and nothing else. Callers that reproduce a GemmAdd
+/// element by hand (mvsc/anchor_assign's BlockedVecMatAdd) block on it.
+inline constexpr std::size_t kKc = 256;
+
 /// C[i, 0..n) += Σ_p A(i, p)·B(p, j) for i in [row_begin, row_end) — the
 /// register-blocked, packed-panel GEMM micro-kernel (mr×nr register tiles,
-/// B-panel packing, kc/mc cache blocking; see gemm_kernel.cc).
+/// B-panel packing, kc/mc cache blocking; see gemm_kernel_impl.h). A
+/// one-row range runs a 1×16 register kernel over the same packed B.
 ///
 /// Accumulation grid (the determinism contract): the p dimension is cut
 /// into fixed kc-sized blocks, every C element accumulates its block
@@ -65,6 +73,27 @@ struct Operand {
 void GemmAdd(std::size_t n, std::size_t k, const Operand& a, const Operand& b,
              double* c, std::size_t c_stride, std::size_t row_begin,
              std::size_t row_end);
+
+/// A k × n B operand packed once into GemmAdd's panel layout, for a B that
+/// many calls share (a served model's anchors). `strips` holds the kc
+/// blocks of B's k rows one after another; inside a block, ⌈n/8⌉ column
+/// strips, each p-major with 8 contiguous doubles per p (the last strip
+/// zero-padded) — exactly the panel GemmAdd packs per call. Immutable once
+/// built, so concurrent GemmAdd calls may share one.
+struct PackedB {
+  std::size_t n = 0;
+  std::size_t k = 0;
+  std::vector<double> strips;
+};
+
+/// Packs the k × n operand `b` (plain or transposed) into a PackedB.
+PackedB PackB(std::size_t n, std::size_t k, const Operand& b);
+
+/// GemmAdd against a pre-packed B: runs the same block loop without
+/// packing B, so C gets the bits GemmAdd(b.n, b.k, a, <the packed operand>,
+/// c, c_stride, row_begin, row_end) would give, on either dispatch.
+void GemmAdd(const Operand& a, const PackedB& b, double* c,
+             std::size_t c_stride, std::size_t row_begin, std::size_t row_end);
 
 /// Scalar-forced flavor of GemmAdd, always available (compiled with
 /// auto-vectorization disabled so "scalar-forced" benchmarks measure

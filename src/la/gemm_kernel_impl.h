@@ -8,8 +8,10 @@
 // Structure (BLIS-style, specialized to row-major operands):
 //
 //   for kk over k in kc blocks:            · fixed kc grid = the
-//     pack B[kk:kk+kc, :] into nr strips     accumulation contract
-//     for i0 over rows in mc blocks:
+//     B[kk:kk+kc, :] as nr strips            accumulation contract
+//       (packed per call, or read from a PackedB)
+//     one-row range: 1×2nr register kernel over the strips, adds into C
+//     else for i0 over rows in mc blocks:
 //       pack A[i0:i0+mc, kk:kk+kc] into mr strips
 //       for each mr strip × nr strip:
 //         mr×nr register tile accumulates serially over the kc block
@@ -19,8 +21,8 @@
 // inside each kc block — its own register lane, no cross-lane math — and
 // (b) across kc blocks in ascending order via the C read-modify-write.
 // The grid depends only on k (and the kKc constant), so the result is
-// independent of the row range, the tile a value lands in, zero-padded
-// edges, and the backend V.
+// independent of the row range, the tile a value lands in (4×8 or 1×16),
+// zero-padded edges, whether B was packed per call, and the backend V.
 
 #include <algorithm>
 #include <cstddef>
@@ -35,11 +37,14 @@ namespace umvsc::la::kernel::detail {
 inline constexpr std::size_t kMr = 4;
 /// Register-tile columns: two 4-lane vectors of packed B.
 inline constexpr std::size_t kNr = 2 * simd::kSimdLanes;
-/// kc: p-block edge. THE determinism-relevant constant — the accumulation
-/// grid is the ⌈k/kKc⌉ blocking of the inner dimension and nothing else.
-inline constexpr std::size_t kKc = 256;
 /// mc: rows of A packed per cache block (kMc·kKc doubles ≈ 128 KiB).
 inline constexpr std::size_t kMc = 64;
+static_assert(kMc % kMr == 0, "A-panel strips must tile kMc exactly");
+
+/// Doubles per p row of a packed B block: ⌈n/kNr⌉ strips of kNr.
+inline std::size_t PackedWidth(std::size_t n) {
+  return (n + kNr - 1) / kNr * kNr;
+}
 
 /// Packs B rows [kk, kk+kcb) × all n columns into nr-wide strips, p-major
 /// within a strip (kNr contiguous doubles per p), zero-padding the last
@@ -136,32 +141,80 @@ inline void MicroKernel(const double* ap, const double* bp, std::size_t kcb,
   V::Store(tile + 3 * kNr + simd::kSimdLanes, c31);
 }
 
+/// The one-row register kernel: out[u] = Σ_p x[p·x_step] · b0[p·kNr + u]
+/// and out[kNr + u] likewise over b1 — two packed strips against one
+/// broadcast A value per p, four accumulators held across the kc block.
+/// Each lane is the same serial unfused chain in ascending p that
+/// MicroKernel runs, so the two kernels give the same bits.
 template <class V>
-void GemmAddImpl(std::size_t n, std::size_t k, const Operand& a,
-                 const Operand& b, double* c, std::size_t c_stride,
-                 std::size_t row_begin, std::size_t row_end) {
-  if (row_end <= row_begin || n == 0 || k == 0) return;
-  const std::size_t kc_max = std::min(k, kKc);
+inline void OneRowKernel(const double* x, std::size_t x_step, const double* b0,
+                         const double* b1, std::size_t kcb, double* out) {
+  using Reg = typename V::Reg;
+  Reg c0 = V::Zero(), c1 = V::Zero(), c2 = V::Zero(), c3 = V::Zero();
+  for (std::size_t p = 0; p < kcb; ++p) {
+    const Reg a = V::Broadcast(x[p * x_step]);
+    c0 = V::MulAdd(a, V::Load(b0), c0);
+    c1 = V::MulAdd(a, V::Load(b0 + simd::kSimdLanes), c1);
+    c2 = V::MulAdd(a, V::Load(b1), c2);
+    c3 = V::MulAdd(a, V::Load(b1 + simd::kSimdLanes), c3);
+    b0 += kNr;
+    b1 += kNr;
+  }
+  V::Store(out, c0);
+  V::Store(out + simd::kSimdLanes, c1);
+  V::Store(out + kNr, c2);
+  V::Store(out + kNr + simd::kSimdLanes, c3);
+}
+
+/// Per-thread A-panel scratch: one mc × kc block, allocated once per thread
+/// and reused by every call on it (GemmAdd never re-enters itself).
+inline double* APanelScratch() {
+  static thread_local std::vector<double> ap(kMc * kKc);
+  return ap.data();
+}
+
+/// The shared block loop of both GemmAdd entries. `panel(kk, kcb)` returns
+/// the packed B block for rows [kk, kk+kcb) — packed on demand or read from
+/// a PackedB; the loop only reads it.
+template <class V, class Panel>
+void GemmBlocks(std::size_t n, std::size_t k, const Operand& a,
+                const Panel& panel, double* c, std::size_t c_stride,
+                std::size_t row_begin, std::size_t row_end) {
   const std::size_t strips_n = (n + kNr - 1) / kNr;
-  // Per-call packing buffers; GemmAdd is invoked once per thread span, so
-  // these are thread-private by construction.
-  std::vector<double> bp(strips_n * kNr * kc_max);
-  std::vector<double> ap(((kMc + kMr - 1) / kMr) * kMr * kc_max);
   double tile[kMr * kNr];
 
   for (std::size_t kk = 0; kk < k; kk += kKc) {
     const std::size_t kcb = std::min(kKc, k - kk);
-    PackB(b, kk, kcb, n, bp.data());
+    const double* bp = panel(kk, kcb);
+    if (row_end - row_begin == 1) {
+      // One row: A needs no packing; stream B two strips at a time (an odd
+      // last strip pairs with itself and its copy is discarded).
+      const std::size_t i = row_begin;
+      const double* x = a.transposed ? a.data + kk * a.stride + i
+                                     : a.data + i * a.stride + kk;
+      const std::size_t x_step = a.transposed ? a.stride : 1;
+      double* crow = c + i * c_stride;
+      for (std::size_t s = 0; s < strips_n; s += 2) {
+        const double* b0 = bp + s * kNr * kcb;
+        const double* b1 = s + 1 < strips_n ? b0 + kNr * kcb : b0;
+        OneRowKernel<V>(x, x_step, b0, b1, kcb, tile);
+        const std::size_t j0 = s * kNr;
+        const std::size_t jw = std::min(2 * kNr, n - j0);
+        for (std::size_t u = 0; u < jw; ++u) crow[j0 + u] += tile[u];
+      }
+      continue;
+    }
+    double* ap = APanelScratch();
     for (std::size_t i0 = row_begin; i0 < row_end; i0 += kMc) {
       const std::size_t mb = std::min(kMc, row_end - i0);
-      PackA(a, i0, mb, kk, kcb, ap.data());
+      PackA(a, i0, mb, kk, kcb, ap);
       for (std::size_t r0 = 0; r0 < mb; r0 += kMr) {
         const std::size_t rw = std::min(kMr, mb - r0);
-        const double* apk = ap.data() + (r0 / kMr) * kMr * kcb;
+        const double* apk = ap + (r0 / kMr) * kMr * kcb;
         for (std::size_t s = 0; s < strips_n; ++s) {
           const std::size_t j0 = s * kNr;
           const std::size_t jw = std::min(kNr, n - j0);
-          MicroKernel<V>(apk, bp.data() + s * kNr * kcb, kcb, tile);
+          MicroKernel<V>(apk, bp + s * kNr * kcb, kcb, tile);
           for (std::size_t r = 0; r < rw; ++r) {
             double* crow = c + (i0 + r0 + r) * c_stride + j0;
             const double* trow = tile + r * kNr;
@@ -172,6 +225,42 @@ void GemmAddImpl(std::size_t n, std::size_t k, const Operand& a,
     }
   }
 }
+
+/// GemmAdd: packs each kc block of B into a per-call buffer (it grows with
+/// n, so it is not cached), then runs the shared block loop.
+template <class V>
+void GemmAddImpl(std::size_t n, std::size_t k, const Operand& a,
+                 const Operand& b, double* c, std::size_t c_stride,
+                 std::size_t row_begin, std::size_t row_end) {
+  if (row_end <= row_begin || n == 0 || k == 0) return;
+  std::vector<double> bp(PackedWidth(n) * std::min(k, kKc));
+  GemmBlocks<V>(
+      n, k, a,
+      [&](std::size_t kk, std::size_t kcb) {
+        PackB(b, kk, kcb, n, bp.data());
+        return bp.data();
+      },
+      c, c_stride, row_begin, row_end);
+}
+
+/// GemmAdd against a PackedB: block kk starts kk full-width rows in.
+template <class V>
+void GemmAddPackedImpl(const Operand& a, const PackedB& b, double* c,
+                       std::size_t c_stride, std::size_t row_begin,
+                       std::size_t row_end) {
+  if (row_end <= row_begin || b.n == 0 || b.k == 0) return;
+  const std::size_t width = PackedWidth(b.n);
+  GemmBlocks<V>(
+      b.n, b.k, a,
+      [&](std::size_t kk, std::size_t) { return b.strips.data() + width * kk; },
+      c, c_stride, row_begin, row_end);
+}
+
+/// The scalar-forced instantiation of GemmAddPackedImpl, compiled in
+/// gemm_kernel_scalar.cc with auto-vectorization off.
+void GemmAddPackedScalar(const Operand& a, const PackedB& b, double* c,
+                         std::size_t c_stride, std::size_t row_begin,
+                         std::size_t row_end);
 
 }  // namespace umvsc::la::kernel::detail
 

@@ -5,21 +5,16 @@
 
 #include "common/parallel.h"
 #include "data/standardize.h"
-#include "la/gemm_kernel.h"
+#include "graph/distance.h"
 
 namespace umvsc::mvsc::assign {
 
-double BlockedDot(const double* x, const double* y, std::size_t k) {
-  double acc = 0.0;
-  for (std::size_t kk = 0; kk < k; kk += kGemmKcBlock) {
-    const std::size_t kcb = std::min(kGemmKcBlock, k - kk);
-    double partial = 0.0;
-    for (std::size_t q = 0; q < kcb; ++q) {
-      partial += x[kk + q] * y[kk + q];
-    }
-    acc += partial;
-  }
-  return acc;
+AnchorPanel PrepareAnchors(const la::Matrix& anchors) {
+  AnchorPanel panel;
+  panel.sq_norms = graph::RowSquaredNorms(anchors);
+  panel.packed = la::kernel::PackB(anchors.rows(), anchors.cols(),
+                                   {anchors.data(), anchors.cols(), true});
+  return panel;
 }
 
 double RowSquaredNorm(const double* x, std::size_t k) {
@@ -78,8 +73,8 @@ void SelectAnchorRow(const double* d2, std::size_t m, std::size_t s,
 void BlockedVecMatAdd(const double* u, const la::Matrix& a, double* out) {
   const std::size_t p = a.rows();
   const std::size_t c = a.cols();
-  for (std::size_t kk = 0; kk < p; kk += kGemmKcBlock) {
-    const std::size_t kcb = std::min(kGemmKcBlock, p - kk);
+  for (std::size_t kk = 0; kk < p; kk += la::kernel::kKc) {
+    const std::size_t kcb = std::min(la::kernel::kKc, p - kk);
     for (std::size_t j = 0; j < c; ++j) {
       double partial = 0.0;
       for (std::size_t q = 0; q < kcb; ++q) {
@@ -110,7 +105,7 @@ void ForEachTile(std::size_t rows,
               });
 }
 
-void AssignRows(const AnchorViewModel& view, const la::Vector& anchor_sq_norms,
+void AssignRows(const AnchorViewModel& view, const AnchorPanel& panel,
                 std::size_t s, const double* raw, std::size_t rows,
                 std::size_t* cols, double* weights, double* u,
                 std::size_t u_stride) {
@@ -126,24 +121,16 @@ void AssignRows(const AnchorViewModel& view, const la::Vector& anchor_sq_norms,
     data::ApplyStandardizationRow(raw + i * d, d, view.feature_means,
                                   view.feature_inv_stds, xs.data() + i * d);
   }
-  // The dot panel d2(i, j) = x_i·a_j. One row is cheaper as a BlockedDot
-  // loop than as a GEMM that packs all m anchors; taller tiles amortize the
-  // packing. The anchors enter GemmAdd as a transposed operand (no
-  // materialized Aᵀ). Both routes give the same bits.
-  if (rows == 1) {
-    for (std::size_t j = 0; j < m; ++j) {
-      d2[j] = BlockedDot(xs.data(), view.anchors.RowPtr(j), d);
-    }
-  } else {
-    std::fill(d2.begin(), d2.end(), 0.0);
-    la::kernel::GemmAdd(m, d, {xs.data(), d, false},
-                        {view.anchors.data(), d, true}, d2.data(), m, 0, rows);
-  }
+  // The dot panel d2(i, j) = x_i·a_j against the anchors packed once per
+  // model; the kernel picks its register tile by the row count.
+  std::fill(d2.begin(), d2.end(), 0.0);
+  la::kernel::GemmAdd({xs.data(), d, false}, panel.packed, d2.data(), m, 0,
+                      rows);
   for (std::size_t i = 0; i < rows; ++i) {
     const double nx = RowSquaredNorm(xs.data() + i * d, d);
     double* row = d2.data() + i * m;
     for (std::size_t j = 0; j < m; ++j) {
-      row[j] = SquaredFromDot(nx, anchor_sq_norms[j], row[j]);
+      row[j] = SquaredFromDot(nx, panel.sq_norms[j], row[j]);
     }
     std::size_t* row_cols = cols + i * s;
     double* row_weights = weights + i * s;

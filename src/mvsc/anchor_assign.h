@@ -5,6 +5,7 @@
 #include <cstddef>
 #include <functional>
 
+#include "la/gemm_kernel.h"
 #include "la/matrix.h"
 #include "la/vector.h"
 #include "mvsc/anchor_unified.h"
@@ -17,10 +18,11 @@
 //
 //   distances   d²(x, a_j) = max(0, ‖x‖² + ‖a_j‖² − 2·x·a_j), the Gram
 //               expansion of graph::CrossSquaredDistancePanel, with the dot
-//               on the kc-blocked accumulation grid of la::kernel::GemmAdd.
-//               A one-row tile takes BlockedDot, a taller tile one GemmAdd
-//               dot panel; the two agree bit for bit — and both equal the
-//               training-side scalar dot whenever d ≤ kGemmKcBlock.
+//               panel one la::kernel::GemmAdd against the view's AnchorPanel
+//               (anchors packed once per model). The kernel's kc grid gives
+//               a row the same bits in a one-row call (its 1×16 register
+//               kernel) as in a taller tile (4×8 tiles), and equals the
+//               training-side scalar dot whenever d ≤ la::kernel::kKc.
 //   selection   SelectAnchorRow: the exact row rule of
 //               graph::BuildAnchorAffinity (s nearest anchors, ties to the
 //               smaller index, self-tuning bandwidth = own s-th-nearest
@@ -40,17 +42,18 @@
 
 namespace umvsc::mvsc::assign {
 
-/// The kc block edge of la::kernel::GemmAdd's accumulation grid. Pinned
-/// against the kernel by mvsc_anchor_assign_test (BlockedDot must equal a
-/// 1×1 GemmAdd at every k); if the kernel's kc ever changes, that test and
-/// this constant must move together.
-inline constexpr std::size_t kGemmKcBlock = 256;
+/// The per-view data every assignment call reads besides the model itself:
+/// ‖a_j‖² per anchor (graph::RowSquaredNorms convention) and the anchors
+/// packed once as the transposed B operand of la::kernel::GemmAdd (d × m).
+/// Derived from the anchors alone — rebuilt wherever they change, never
+/// serialized — and immutable, so concurrent calls share it.
+struct AnchorPanel {
+  la::Vector sq_norms;
+  la::kernel::PackedB packed;
+};
 
-/// x·y accumulated on the GemmAdd element grid: serial ascending partial
-/// per kc block, partials folded in ascending block order. Bitwise equal to
-/// a zero-initialized GemmAdd element with inner dimension k, and to the
-/// plain ascending dot when k ≤ kGemmKcBlock.
-double BlockedDot(const double* x, const double* y, std::size_t k);
+/// Builds the AnchorPanel of an m × d anchor matrix.
+AnchorPanel PrepareAnchors(const la::Matrix& anchors);
 
 /// ‖x‖² in ascending-feature order — the graph::RowSquaredNorms convention.
 double RowSquaredNorm(const double* x, std::size_t k);
@@ -72,8 +75,8 @@ void SelectAnchorRow(const double* d2, std::size_t m, std::size_t s,
                      std::size_t* cols, double* weights);
 
 /// out[j] += (u·a)[j] for a row vector u of a.rows() entries, accumulated
-/// on the GemmAdd kc grid — bitwise equal to the corresponding row of
-/// la::MatMul(U, a) for any inner dimension.
+/// on the GemmAdd kc grid (blocks of la::kernel::kKc) — bitwise equal to
+/// the corresponding row of la::MatMul(U, a) for any inner dimension.
 void BlockedVecMatAdd(const double* u, const la::Matrix& a, double* out);
 
 /// Index of the row maximum; strict >, so ties keep the smaller index.
@@ -91,14 +94,14 @@ void ForEachTile(std::size_t rows,
 
 /// The row-tile kernel. For `rows` raw rows of one view (row-major, stride
 /// d = view.anchors.cols()): standardizes them with the view's statistics,
-/// takes their dots with the m anchors (BlockedDot for one row, one GemmAdd
-/// panel otherwise), turns them into Gram distances against
-/// `anchor_sq_norms` (‖a_j‖², ascending-feature sums), selects each row's
-/// s-sparse anchor row, and accumulates u = z·anchor_map in ascending-anchor
-/// order. Writes row i's anchor columns and weights at cols/weights + i·s
-/// and its k_v = view.anchor_map.cols() coordinates at u + i·u_stride
-/// (overwritten, not added to). Scratch is per thread and reused.
-void AssignRows(const AnchorViewModel& view, const la::Vector& anchor_sq_norms,
+/// takes their dots with the m anchors (one GemmAdd against panel.packed),
+/// turns them into Gram distances against panel.sq_norms, selects each
+/// row's s-sparse anchor row, and accumulates u = z·anchor_map in
+/// ascending-anchor order. `panel` must be PrepareAnchors(view.anchors).
+/// Writes row i's anchor columns and weights at cols/weights + i·s and its
+/// k_v = view.anchor_map.cols() coordinates at u + i·u_stride (overwritten,
+/// not added to). Scratch is per thread and reused.
+void AssignRows(const AnchorViewModel& view, const AnchorPanel& panel,
                 std::size_t s, const double* raw, std::size_t rows,
                 std::size_t* cols, double* weights, double* u,
                 std::size_t u_stride);

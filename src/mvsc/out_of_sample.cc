@@ -14,6 +14,15 @@ namespace umvsc::mvsc {
 using data::ApplyStandardization;
 using data::ColumnStandardization;
 
+namespace {
+
+bool AllFinite(const double* values, std::size_t count) {
+  return std::all_of(values, values + count,
+                     [](double x) { return std::isfinite(x); });
+}
+
+}  // namespace
+
 StatusOr<OutOfSampleModel> OutOfSampleModel::Fit(
     const data::MultiViewDataset& training,
     const std::vector<std::size_t>& labels,
@@ -109,15 +118,31 @@ StatusOr<OutOfSampleModel> OutOfSampleModel::FitAnchor(AnchorModel model) {
     return Status::InvalidArgument(
         "anchor model assignment rows must match concatenated view dims");
   }
+  // A NaN or Inf anywhere would serve silently wrong labels (a NaN distance
+  // never wins a comparison), so reject it here — the loader re-enters
+  // through FitAnchor, so a corrupt file is rejected too.
+  for (std::size_t v = 0; v < model.views.size(); ++v) {
+    const AnchorViewModel& view = model.views[v];
+    if (!AllFinite(view.anchors.data(), view.anchors.size()) ||
+        !AllFinite(view.anchor_map.data(), view.anchor_map.size()) ||
+        !AllFinite(view.feature_means.data(), view.feature_means.size()) ||
+        !AllFinite(view.feature_inv_stds.data(),
+                   view.feature_inv_stds.size())) {
+      return Status::InvalidArgument(
+          StrFormat("anchor model view %zu has a non-finite value", v));
+    }
+  }
+  if (!AllFinite(model.assignment.data(), model.assignment.size())) {
+    return Status::InvalidArgument(
+        "anchor model assignment has a non-finite value");
+  }
 
   OutOfSampleModel out;
   out.num_clusters_ = model.num_clusters;
   out.anchor_model_ = std::move(model);
-  // Cache ‖a_j‖² per view for the Gram-expansion serving distances (the
-  // same ascending-feature convention the training-side panel used).
-  out.anchor_sq_norms_.reserve(out.anchor_model_->views.size());
+  out.anchor_panels_.reserve(out.anchor_model_->views.size());
   for (const AnchorViewModel& view : out.anchor_model_->views) {
-    out.anchor_sq_norms_.push_back(graph::RowSquaredNorms(view.anchors));
+    out.anchor_panels_.push_back(assign::PrepareAnchors(view.anchors));
   }
   return out;
 }
@@ -157,7 +182,7 @@ StatusOr<std::vector<std::size_t>> OutOfSampleModel::Predict(
           scores.resize(c);
           std::size_t base = 0;
           for (std::size_t v = 0; v < model.views.size(); ++v) {
-            assign::AssignRows(model.views[v], anchor_sq_norms_[v], s,
+            assign::AssignRows(model.views[v], anchor_panels_[v], s,
                                batch.views[v].RowPtr(begin), rows, cols.data(),
                                weights.data(), coords.data() + base, p);
             base += model.views[v].anchor_map.cols();

@@ -8,6 +8,7 @@
 #include "common/status.h"
 #include "data/dataset.h"
 #include "la/matrix.h"
+#include "mvsc/anchor_assign.h"
 #include "mvsc/anchor_unified.h"
 
 namespace umvsc::serve {
@@ -60,6 +61,10 @@ class OutOfSampleModel {
   /// the BuildAnchorAffinity row rule, ascending-column coordinate
   /// accumulation, kc-blocked scoring), so a point's label does not depend
   /// on the batch it arrives in, the tile grid, or the thread count.
+  /// FitAnchor packs each view's anchors once (assign::PrepareAnchors);
+  /// every Predict reads only that panel. It rejects a model with a NaN or
+  /// Inf in any served array (anchors, anchor_map, standardization,
+  /// assignment) — ModelSerializer's loader re-enters here.
   static StatusOr<OutOfSampleModel> FitAnchor(AnchorModel model);
 
   /// Predicts cluster ids for new points given as a multi-view batch with
@@ -100,9 +105,9 @@ class OutOfSampleModel {
   /// When set, Predict routes through the anchor extension instead of the
   /// training-point affinity vote (the O(n)-free serving path).
   std::optional<AnchorModel> anchor_model_;
-  /// ‖a_j‖² per view (graph::RowSquaredNorms convention), derived from
+  /// Per view: ‖a_j‖² and the anchors packed for GemmAdd, derived from
   /// anchor_model_ at FitAnchor time — never serialized.
-  std::vector<la::Vector> anchor_sq_norms_;
+  std::vector<assign::AnchorPanel> anchor_panels_;
 };
 
 }  // namespace umvsc::mvsc

@@ -14,10 +14,11 @@ namespace umvsc::serve {
 /// entry point. It holds a ModelHandle, so the model outlives registry
 /// swaps, and answers a b-point batch with one OutOfSampleModel::Predict
 /// call. For anchor models that runs the one anchor-assignment driver of
-/// mvsc/anchor_assign.h over fixed row tiles (a one-row batch takes the
-/// BlockedDot route, taller tiles one packed-GEMM dot panel per view), so
-/// labels are bitwise identical to per-point Predict at every batch size
-/// and thread count. Exact-path models run their training-point vote
+/// mvsc/anchor_assign.h over fixed row tiles: one GemmAdd dot panel per
+/// view against anchors packed once at FitAnchor (a one-row batch takes the
+/// kernel's 1×16 register route, taller tiles its 4×8 tiles), so labels are
+/// bitwise identical to per-point Predict at every batch size and thread
+/// count. Exact-path models run their training-point vote
 /// through the same call.
 ///
 /// Thread safety: Assign is const and touches only immutable model state —

@@ -243,8 +243,9 @@ StatusOr<mvsc::OutOfSampleModel> DeserializeAnchor(Reader& r) {
   if (r.remaining() != 0) {
     return Status::IoError("model file has trailing bytes");
   }
-  // FitAnchor re-runs the full structural validation and rebuilds the
-  // derived anchor norms, so a loaded model is exactly a fitted one.
+  // FitAnchor re-runs the full validation (shapes and finiteness) and
+  // rebuilds the derived anchor panels, so a loaded model is exactly a
+  // fitted one.
   return mvsc::OutOfSampleModel::FitAnchor(std::move(model));
 }
 

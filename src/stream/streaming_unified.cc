@@ -9,7 +9,6 @@
 #include "data/standardize.h"
 #include "exec/executor.h"
 #include "graph/anchors.h"
-#include "graph/distance.h"
 #include "la/ops.h"
 #include "la/sparse.h"
 #include "mvsc/anchor_assign.h"
@@ -106,7 +105,7 @@ void StreamingUnifiedMVSC::ExtendRows(std::size_t first_row) {
     view.u.resize((at + fresh) * k);
     const double* raw = view.raw.data() + (head_ + first_row) * d;
     mvsc::assign::ForEachTile(fresh, [&](std::size_t begin, std::size_t end) {
-      mvsc::assign::AssignRows(view.model, view.anchor_norms, s,
+      mvsc::assign::AssignRows(view.model, view.anchor_panel, s,
                                raw + begin * d, end - begin,
                                view.z_cols.data() + (at + begin) * s,
                                view.z_vals.data() + (at + begin) * s,
@@ -337,7 +336,7 @@ Status StreamingUnifiedMVSC::FullResolveNow(const std::string& reason,
                               view.z_vals.begin() + rows_ * s));
     }
 
-    view.anchor_norms = graph::RowSquaredNorms(view.model.anchors);
+    view.anchor_panel = mvsc::assign::PrepareAnchors(view.model.anchors);
 
     cluster::AnchorEmbeddingOptions eopts;
     eopts.dims = k_view;

@@ -5,7 +5,8 @@
 // below implements that grid longhand with unfused mul/add, so on x86 every
 // comparison is exact; adversarial shapes sweep all the edge-handling paths
 // (dims that are not multiples of the 4x8 tile, 0- and 1-sized dims, and
-// k past the kc=256 block edge).
+// k past the kc=256 block edge). The packed-B entry must give the bits of
+// the unpacked one on every shape, row range and dispatch.
 
 #include <algorithm>
 #include <cmath>
@@ -13,6 +14,7 @@
 #include <iterator>
 #include <vector>
 
+#include "common/parallel.h"
 #include "gtest/gtest.h"
 #include "la/gemm_kernel.h"
 
@@ -25,7 +27,7 @@ constexpr bool kBitwiseDispatch = true;
 constexpr bool kBitwiseDispatch = false;
 #endif
 
-constexpr std::size_t kKcGrid = 256;  // mirrors detail::kKc
+constexpr std::size_t kKcGrid = kKc;
 
 std::vector<double> TestMatrix(std::size_t rows, std::size_t cols,
                                double phase) {
@@ -226,6 +228,119 @@ TEST(GemmKernelTest, DispatchPathsAgreeUnderScopedForceScalar) {
   } else {
     for (std::size_t i = 0; i < native.size(); ++i) {
       EXPECT_NEAR(native[i], forced[i], 1e-15 * static_cast<double>(k));
+    }
+  }
+}
+
+// The packed-B entry against the unpacked one, on the active dispatch: the
+// whole range, every single-row range (the one-row register kernel, also
+// on the unpacked entry) and an uneven row partition must all reproduce
+// the unpacked whole-range bits — and the reference grid.
+void CheckPackedShape(std::size_t m, std::size_t n, std::size_t k,
+                      bool a_trans, bool b_trans) {
+  SCOPED_TRACE(::testing::Message()
+               << "m=" << m << " n=" << n << " k=" << k << " aT=" << a_trans
+               << " bT=" << b_trans << " backend=" << ActiveBackendName());
+  const std::vector<double> a_buf =
+      a_trans ? TestMatrix(k, m, 0.0) : TestMatrix(m, k, 0.0);
+  const std::vector<double> b_buf =
+      b_trans ? TestMatrix(n, k, 1.0) : TestMatrix(k, n, 1.0);
+  const Operand a{a_buf.data(), a_trans ? m : k, a_trans};
+  const Operand b{b_buf.data(), b_trans ? k : n, b_trans};
+  const std::vector<double> c0 = TestMatrix(m, n, 2.0);
+
+  std::vector<double> want = c0;
+  GemmAdd(n, k, a, b, want.data(), n, 0, m);
+  std::vector<double> reference = c0;
+  ReferenceGemmAdd(n, k, a, b, reference.data(), n, 0, m);
+  ExpectClose(want, reference, k, "unpacked vs reference");
+
+  const PackedB packed = PackB(n, k, b);
+  ASSERT_EQ(packed.n, n);
+  ASSERT_EQ(packed.k, k);
+  ASSERT_EQ(packed.strips.size(), (n + 7) / 8 * 8 * k);
+
+  auto expect_bitwise = [&](const std::vector<double>& got, const char* what) {
+    ASSERT_EQ(got.size(), want.size()) << what;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      // Same dispatch, same grid: bitwise on every target.
+      EXPECT_EQ(got[i], want[i]) << what << " element " << i;
+    }
+  };
+
+  std::vector<double> whole = c0;
+  GemmAdd(a, packed, whole.data(), n, 0, m);
+  expect_bitwise(whole, "packed whole range");
+
+  std::vector<double> rows_packed = c0;
+  std::vector<double> rows_unpacked = c0;
+  for (std::size_t i = 0; i < m; ++i) {
+    GemmAdd(a, packed, rows_packed.data(), n, i, i + 1);
+    GemmAdd(n, k, a, b, rows_unpacked.data(), n, i, i + 1);
+  }
+  expect_bitwise(rows_packed, "packed single rows");
+  expect_bitwise(rows_unpacked, "unpacked single rows");
+
+  // Spans of 1, 3, 2, 7, 4, 1, 9 rows, repeating: one-row spans between
+  // tall ones, edges off the 4-row tile grid.
+  const std::size_t spans[] = {1, 3, 2, 7, 4, 1, 9};
+  std::vector<double> pieced = c0;
+  for (std::size_t lo = 0, t = 0; lo < m; ++t) {
+    const std::size_t hi = std::min(m, lo + spans[t % std::size(spans)]);
+    GemmAdd(a, packed, pieced.data(), n, lo, hi);
+    lo = hi;
+  }
+  expect_bitwise(pieced, "packed partition");
+}
+
+TEST(GemmKernelTest, PackedEntryMatchesGemmAddOnBothDispatches) {
+  const std::size_t ms[] = {1, 2, 3, 5, 9, 17, 33, 65};
+  // n below, at and past the 8-wide strip, odd strip counts included;
+  // n = 0 and k = 0 are no-ops.
+  const std::size_t ns[] = {0, 1, 3, 7, 8, 9, 15, 16, 17, 31, 33};
+  const std::size_t ks[] = {0, 1, 3, kKc - 1, kKc, kKc + 1, 3 * kKc + 17};
+  for (bool force_scalar : {false, true}) {
+    ScopedForceScalar force(force_scalar);
+    for (std::size_t m : ms) {
+      for (std::size_t n : ns) {
+        for (std::size_t k : ks) {
+          CheckPackedShape(m, n, k, false, false);
+          CheckPackedShape(m, n, k, false, true);
+        }
+      }
+    }
+    for (bool a_trans : {false, true}) {
+      for (bool b_trans : {false, true}) {
+        CheckPackedShape(13, 21, 37, a_trans, b_trans);
+        CheckPackedShape(1, 21, kKc + 5, a_trans, b_trans);
+      }
+    }
+  }
+}
+
+// Pool threads share one PackedB (read-only) and each runs the block loop
+// with its own thread_local A-panel scratch: any thread count and row
+// grain must reproduce the serial bits.
+TEST(GemmKernelTest, PoolThreadsShareOnePackedPanel) {
+  const std::size_t m = 203, n = 45, k = kKc + 70;
+  const std::vector<double> a_buf = TestMatrix(m, k, 0.25);
+  const std::vector<double> b_buf = TestMatrix(n, k, 0.75);
+  const Operand a{a_buf.data(), k, false};
+  const PackedB packed = PackB(n, k, {b_buf.data(), k, true});
+
+  std::vector<double> serial(m * n, 0.0);
+  GemmAdd(a, packed, serial.data(), n, 0, m);
+  for (std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
+    ScopedNumThreads scope(threads);
+    for (std::size_t grain :
+         {std::size_t{1}, std::size_t{5}, std::size_t{64}}) {
+      std::vector<double> pooled(m * n, 0.0);
+      ParallelFor(0, m, grain, [&](std::size_t lo, std::size_t hi) {
+        GemmAdd(a, packed, pooled.data(), n, lo, hi);
+      });
+      EXPECT_EQ(0, std::memcmp(pooled.data(), serial.data(),
+                               serial.size() * sizeof(double)))
+          << threads << " threads, grain " << grain;
     }
   }
 }

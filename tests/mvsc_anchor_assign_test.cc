@@ -22,37 +22,69 @@ std::vector<double> RandomDoubles(std::size_t n, std::uint64_t seed) {
   return out;
 }
 
-// The keystone pin: BlockedDot must reproduce a zero-initialized GemmAdd
-// element bit for bit at EVERY inner dimension — below, at, and across the
-// kernel's kc block edge. If la::kernel ever changes its accumulation grid,
-// this test fails and kGemmKcBlock must move with it.
-TEST(AnchorAssignTest, BlockedDotEqualsAGemmElement) {
+// The dot of a one-row call against packed anchors: a zero-initialized
+// one-row GemmAdd against PrepareAnchors' panel, which runs the kernel's
+// 1×16 register route.
+std::vector<double> OneRowPackedDots(const std::vector<double>& x,
+                                     const la::Matrix& anchors) {
+  const AnchorPanel panel = PrepareAnchors(anchors);
+  std::vector<double> dots(anchors.rows(), 0.0);
+  la::kernel::GemmAdd({x.data(), anchors.cols(), false}, panel.packed,
+                      dots.data(), anchors.rows(), 0, 1);
+  return dots;
+}
+
+la::Matrix RandomMatrix(std::size_t rows, std::size_t cols,
+                        std::uint64_t seed) {
+  la::Matrix out(rows, cols);
+  const std::vector<double> values = RandomDoubles(rows * cols, seed);
+  std::copy(values.begin(), values.end(), out.data());
+  return out;
+}
+
+// The keystone pin: a one-row call's dots must reproduce, bit for bit, the
+// elements a taller GemmAdd (4×8 register tiles, B packed per call) gives
+// the same row — at EVERY inner dimension, below, at and across the kc
+// block edge. This is what lets Assign(1) and Assign(256) agree.
+TEST(AnchorAssignTest, OneRowPackedDotEqualsAGemmElement) {
+  constexpr std::size_t kKc = la::kernel::kKc;
   for (std::size_t k : {std::size_t{1}, std::size_t{4}, std::size_t{100},
-                        kGemmKcBlock - 1, kGemmKcBlock, kGemmKcBlock + 1,
-                        std::size_t{1000}, 3 * kGemmKcBlock + 17}) {
-    const std::vector<double> x = RandomDoubles(k, 11 + k);
-    const std::vector<double> y = RandomDoubles(k, 77 + k);
-    double c = 0.0;
-    la::kernel::GemmAdd(1, k, {x.data(), k, false}, {y.data(), 1, false}, &c,
-                        1, 0, 1);
-    EXPECT_EQ(BlockedDot(x.data(), y.data(), k), c) << "k = " << k;
+                        kKc - 1, kKc, kKc + 1, std::size_t{1000},
+                        3 * kKc + 17}) {
+    const std::size_t m = 11, rows = 5, row = 2;
+    const la::Matrix anchors = RandomMatrix(m, k, 77 + k);
+    const la::Matrix x = RandomMatrix(rows, k, 11 + k);
+    std::vector<double> tall(rows * m, 0.0);
+    la::kernel::GemmAdd(m, k, {x.data(), k, false}, {anchors.data(), k, true},
+                        tall.data(), m, 0, rows);
+    const std::vector<double> one = OneRowPackedDots(
+        std::vector<double>(x.RowPtr(row), x.RowPtr(row) + k), anchors);
+    for (std::size_t j = 0; j < m; ++j) {
+      EXPECT_EQ(one[j], tall[row * m + j]) << "k = " << k << " anchor " << j;
+    }
   }
 }
 
-TEST(AnchorAssignTest, BlockedDotEqualsPlainDotBelowTheBlockEdge) {
+TEST(AnchorAssignTest, OneRowPackedDotEqualsPlainDotBelowTheBlockEdge) {
   // Inside one kc block the grid degenerates to the plain ascending dot —
   // which is why serving distances equal the training-side scalar dots for
-  // every view with d <= kGemmKcBlock.
-  const std::size_t k = 200;
-  const std::vector<double> x = RandomDoubles(k, 5);
-  const std::vector<double> y = RandomDoubles(k, 6);
-  double plain = 0.0;
-  for (std::size_t p = 0; p < k; ++p) plain += x[p] * y[p];
-  EXPECT_EQ(BlockedDot(x.data(), y.data(), k), plain);
+  // every view with d <= la::kernel::kKc.
+  for (std::size_t k : {std::size_t{200}, la::kernel::kKc}) {
+    const std::vector<double> x = RandomDoubles(k, 5);
+    const la::Matrix anchors = RandomMatrix(3, k, 6);
+    const std::vector<double> one = OneRowPackedDots(x, anchors);
+    for (std::size_t j = 0; j < anchors.rows(); ++j) {
+      const double* y = anchors.RowPtr(j);
+      double plain = 0.0;
+      for (std::size_t p = 0; p < k; ++p) plain += x[p] * y[p];
+      EXPECT_EQ(one[j], plain) << "k = " << k << " anchor " << j;
+    }
+  }
 }
 
 TEST(AnchorAssignTest, BlockedVecMatAddEqualsAMatMulRow) {
-  for (std::size_t p : {std::size_t{3}, std::size_t{60}, kGemmKcBlock + 33}) {
+  for (std::size_t p :
+       {std::size_t{3}, std::size_t{60}, la::kernel::kKc + 33}) {
     const std::size_t c = 7;
     const std::vector<double> u = RandomDoubles(p, 21 + p);
     la::Matrix a(p, c);
@@ -164,11 +196,12 @@ TEST(AnchorAssignTest, SquaredFromDotClampsAtZero) {
   EXPECT_EQ(SquaredFromDot(4.0, 1.0, 1.0), 3.0);
 }
 
-// The driver's two dot routes — BlockedDot for a one-row call, one GemmAdd
-// panel for a taller tile — must give every row the same anchor columns,
-// weights and coordinates bit for bit, below and past the kc block edge.
+// The driver's two register routes over the packed anchors — the 1×16
+// kernel for a one-row call, 4×8 tiles for a taller tile — must give every
+// row the same anchor columns, weights and coordinates bit for bit, below
+// and past the kc block edge.
 TEST(AnchorAssignTest, AssignRowsGivesEachRowTheSameBitsAtEveryTileHeight) {
-  for (std::size_t d : {std::size_t{20}, kGemmKcBlock + 44}) {
+  for (std::size_t d : {std::size_t{20}, la::kernel::kKc + 44}) {
     const std::size_t m = 24, k = 5, s = 4, rows = 9;
     AnchorViewModel view;
     view.anchors = la::Matrix(m, d);
@@ -179,20 +212,20 @@ TEST(AnchorAssignTest, AssignRowsGivesEachRowTheSameBitsAtEveryTileHeight) {
     std::copy(map.begin(), map.end(), view.anchor_map.data());
     view.feature_means = la::Vector(d, 0.1);
     view.feature_inv_stds = la::Vector(d, 2.0);
-    la::Vector norms(m);
+    const AnchorPanel panel = PrepareAnchors(view.anchors);
     for (std::size_t j = 0; j < m; ++j) {
-      norms[j] = RowSquaredNorm(view.anchors.RowPtr(j), d);
+      EXPECT_EQ(panel.sq_norms[j], RowSquaredNorm(view.anchors.RowPtr(j), d));
     }
     const std::vector<double> raw = RandomDoubles(rows * d, 33 + d);
 
     std::vector<std::size_t> cols(rows * s);
     std::vector<double> weights(rows * s), u(rows * k);
-    AssignRows(view, norms, s, raw.data(), rows, cols.data(), weights.data(),
+    AssignRows(view, panel, s, raw.data(), rows, cols.data(), weights.data(),
                u.data(), k);
     for (std::size_t i = 0; i < rows; ++i) {
       std::vector<std::size_t> one_cols(s);
       std::vector<double> one_weights(s), one_u(k);
-      AssignRows(view, norms, s, raw.data() + i * d, 1, one_cols.data(),
+      AssignRows(view, panel, s, raw.data() + i * d, 1, one_cols.data(),
                  one_weights.data(), one_u.data(), k);
       for (std::size_t r = 0; r < s; ++r) {
         EXPECT_EQ(one_cols[r], cols[i * s + r]) << "d " << d << " row " << i;

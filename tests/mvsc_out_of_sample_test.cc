@@ -6,6 +6,7 @@
 #include <limits>
 #include <numeric>
 #include <random>
+#include <utility>
 
 #include "data/synthetic.h"
 #include "eval/metrics.h"
@@ -261,6 +262,45 @@ TEST(OutOfSampleTest, FitAnchorValidatesTheModel) {
   data::MultiViewDataset wrong_dims = split.test;
   wrong_dims.views[1] = la::Matrix(split.test.NumSamples(), 3);
   EXPECT_FALSE(model->Predict(wrong_dims).ok());
+}
+
+// A NaN or Inf in any served array would make Predict return garbage
+// without an error (NaN distances and scores never win a comparison), so
+// FitAnchor rejects each one — every array, both kinds of non-finite.
+TEST(OutOfSampleTest, FitAnchorRejectsNonFiniteModel) {
+  Split split = MakeSplit(87);
+  UnifiedOptions options;
+  options.num_clusters = 3;
+  options.seed = 5;
+  options.anchors.enabled = true;
+  options.anchors.num_anchors = 24;
+  StatusOr<AnchorUnifiedResult> fitted =
+      SolveUnifiedAnchors(split.train, options);
+  ASSERT_TRUE(fitted.ok()) << fitted.status().ToString();
+  ASSERT_TRUE(OutOfSampleModel::FitAnchor(fitted->model).ok());
+
+  using Poison = void (*)(AnchorModel*, double);
+  const std::pair<const char*, Poison> sites[] = {
+      {"anchors",
+       [](AnchorModel* m, double x) { m->views[1].anchors(3, 2) = x; }},
+      {"anchor_map",
+       [](AnchorModel* m, double x) { m->views[0].anchor_map(5, 0) = x; }},
+      {"feature_means",
+       [](AnchorModel* m, double x) { m->views[0].feature_means[1] = x; }},
+      {"feature_inv_stds",
+       [](AnchorModel* m, double x) { m->views[1].feature_inv_stds[0] = x; }},
+      {"assignment", [](AnchorModel* m, double x) { m->assignment(0, 1) = x; }},
+  };
+  for (const auto& [name, poison] : sites) {
+    for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                       -std::numeric_limits<double>::infinity()}) {
+      AnchorModel model = fitted->model;
+      poison(&model, bad);
+      StatusOr<OutOfSampleModel> out = OutOfSampleModel::FitAnchor(model);
+      ASSERT_FALSE(out.ok()) << name << " = " << bad;
+      EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument) << name;
+    }
+  }
 }
 
 }  // namespace

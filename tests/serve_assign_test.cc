@@ -80,9 +80,9 @@ TEST(BatchAssignTest, LabelsDoNotDependOnHowTheBatchIsSplit) {
   const std::size_t n = fx.test.NumSamples();
   ASSERT_GT(n, std::size_t{65});
 
-  // Single-row calls take the BlockedDot route; chunks of 7, 63, 64 and 65
-  // rows take the GemmAdd panel with tile edges before, at and past the
-  // 64-row tile. Every split must reproduce the whole batch bit for bit,
+  // Single-row calls take GemmAdd's one-row kernel; chunks of 7, 63, 64
+  // and 65 rows take its 4×8 tiles, with tile edges before, at and past
+  // the 64-row tile. Every split must reproduce the whole batch bit for bit,
   // at every thread count.
   for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
     ScopedNumThreads scope(threads);

@@ -200,6 +200,45 @@ TEST(ModelIoTest, NonFiniteExactViewWeightIsRejected) {
       << loaded.status().ToString();
 }
 
+std::uint64_t GetLittleEndian(const std::string& bytes, std::size_t at) {
+  std::uint64_t value = 0;
+  for (std::size_t i = 0; i < 8; ++i) {
+    value |= std::uint64_t{static_cast<unsigned char>(bytes[at + i])}
+             << (8 * i);
+  }
+  return value;
+}
+
+// A NaN anchor with a valid CRC would serve garbage labels (a NaN distance
+// never wins a comparison); the loader re-enters FitAnchor, which must
+// reject it.
+TEST(ModelIoTest, NonFiniteAnchorValueIsRejected) {
+  const Fixture fx = MakeFixture(40);
+  std::string bytes = ModelSerializer::Serialize(MakeAnchorModel(fx));
+  // Header (magic, version, kind: 16 bytes), then the meta section (u32
+  // tag, u64 length, three u64 fields, u32 CRC: 40 bytes), then view 0's
+  // section: u32 tag, u64 length, and a payload of means (u64 d, d
+  // doubles), inverse stds (likewise) and the anchors (u64 m, u64 d, …).
+  const std::size_t section_at = 16 + 40;
+  const std::size_t payload_at = section_at + 4 + 8;
+  const std::size_t payload_len = GetLittleEndian(bytes, section_at + 4);
+  const std::size_t d = GetLittleEndian(bytes, payload_at);
+  ASSERT_EQ(d, fx.train.views[0].cols());
+  const std::size_t anchors_at = payload_at + 2 * (8 + 8 * d);
+  ASSERT_EQ(GetLittleEndian(bytes, anchors_at + 8), d);
+
+  PutLittleEndian(&bytes, anchors_at + 16 + 8 * 5,
+                  std::bit_cast<std::uint64_t>(
+                      std::numeric_limits<double>::quiet_NaN()),
+                  8);
+  PutLittleEndian(&bytes, payload_at + payload_len,
+                  Crc32(bytes.data() + payload_at, payload_len), 4);
+  auto loaded = ModelSerializer::Deserialize(bytes);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
+      << loaded.status().ToString();
+}
+
 TEST(ModelIoTest, SaveThenLoadRoundTripsThroughAFile) {
   const Fixture fx = MakeFixture(38);
   const mvsc::OutOfSampleModel model = MakeAnchorModel(fx);
