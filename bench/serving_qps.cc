@@ -227,13 +227,16 @@ int main(int argc, char** argv) {
                                        watch.ElapsedSeconds(),
                                        std::move(latencies));
 
-  // --- Batched legs: same query stream, batched through Assign.
+  // --- Batched legs: same query stream, batched through Assign. Smoke
+  // legs time at least 16 calls each, so the gated batch-256 ratio is not
+  // decided by one or two calls' noise.
   const std::size_t batch_sizes[] = {1, 16, 64, 256, 1024};
   const std::size_t leg_points = smoke ? 512 : 8192;
+  const std::size_t min_leg_calls = smoke ? 16 : 1;
   std::vector<LegStats> batched_legs;
   for (std::size_t b : batch_sizes) {
     if (b > pool) continue;
-    const std::size_t calls = std::max<std::size_t>(1, leg_points / b);
+    const std::size_t calls = std::max(min_leg_calls, leg_points / b);
     std::vector<data::MultiViewDataset> batches;
     batches.reserve(calls);
     for (std::size_t i = 0; i < calls; ++i) {

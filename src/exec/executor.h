@@ -1,7 +1,6 @@
 #ifndef UMVSC_EXEC_EXECUTOR_H_
 #define UMVSC_EXEC_EXECUTOR_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -20,16 +19,12 @@ namespace umvsc::exec {
 class JobExecutor;
 
 /// Per-job view of the executor's substrate, handed to the job's work
-/// function: the executor-wide stage cache, the job's cancel flag and its
-/// thread budget. Nothing here may escape the work function.
+/// function: the executor-wide stage cache and the job's thread budget.
+/// Nothing here may escape the work function.
 class JobContext {
  public:
   /// Compute-once cache of shared pipeline stages (executor-wide).
   StageCache& stages() { return *stages_; }
-  /// Cooperative preemption: background jobs should poll this at
-  /// checkpoint boundaries and return early (Status::OK with partial
-  /// effects rolled back, or an error) when set.
-  bool cancel_requested() const;
   /// The thread budget this job declared (what its nested ParallelFor
   /// calls will be partitioned over).
   std::size_t thread_budget() const;
@@ -38,7 +33,6 @@ class JobContext {
   friend class JobExecutor;
   JobContext() = default;
   StageCache* stages_ = nullptr;
-  const std::atomic<bool>* cancel_ = nullptr;
   std::size_t thread_budget_ = 1;
 };
 
@@ -55,10 +49,7 @@ struct JobSpec {
   /// default. The repo's determinism contract makes results identical at
   /// every value; the budget only bounds this job's CPU claim.
   std::size_t thread_budget = 1;
-  /// Background jobs run only when no foreground job is queued — the
-  /// stream re-solve lane. They should poll JobContext::cancel_requested.
-  bool background = false;
-  /// Display/debug name (job status messages).
+  /// Display name; an escaped exception's Internal status quotes it.
   std::string name;
 };
 
@@ -68,19 +59,14 @@ class JobHandle {
  public:
   JobHandle() = default;
 
-  /// Blocks until the job completes or is cancelled while pending.
+  /// Blocks until the job completes or its executor drops it unstarted.
   void Wait() const;
-  /// True once the job finished, failed, or was cancelled.
+  /// True once the job finished, failed, or was dropped unstarted.
   bool Done() const;
   /// The job's outcome: the work function's return, Internal for an
-  /// escaped exception, or "cancelled" when cancelled while pending.
-  /// Blocks via Wait().
+  /// escaped exception, or FailedPrecondition when the executor was
+  /// destroyed before the job started. Blocks via Wait().
   Status Await() const;
-  /// Requests cancellation. A PENDING job is removed from the queue and
-  /// completes with a cancelled status (returns true). A RUNNING job gets
-  /// its cancel flag set — cooperative, the body decides (returns false).
-  /// Already-done jobs: no-op, returns false.
-  bool Cancel();
 
   bool valid() const { return state_ != nullptr; }
 
@@ -112,22 +98,15 @@ class JobExecutor {
 
   JobExecutor();  // default Options
   explicit JobExecutor(Options options);
-  /// Cancels all pending jobs, flags running ones, and joins the workers.
+  /// Resolves every pending job as not started (so no waiter hangs), lets
+  /// running ones finish, and joins the workers.
   ~JobExecutor();
 
   JobExecutor(const JobExecutor&) = delete;
   JobExecutor& operator=(const JobExecutor&) = delete;
 
-  /// Enqueues a job. Foreground jobs run FIFO ahead of background ones.
+  /// Enqueues a job; jobs start in submission order (FIFO).
   JobHandle Submit(JobSpec spec);
-
-  /// Blocks until every job submitted so far has completed.
-  void WaitAll();
-
-  /// True when called from one of THIS executor's worker threads. Callers
-  /// that might run inside a job use this to avoid submit-and-wait
-  /// deadlock (run inline instead) — see stream::StreamingOptions.
-  bool OnWorkerThread() const;
 
   /// Executor-wide compute-once stage cache.
   StageCache& stages() { return stages_; }
@@ -136,17 +115,13 @@ class JobExecutor {
 
  private:
   void WorkerLoop();
-  std::shared_ptr<JobHandle::State> NextJobLocked();
 
   Options options_;
   StageCache stages_;
 
   std::mutex mu_;
-  std::condition_variable work_cv_;   ///< workers: queue or stop changed
-  std::condition_variable idle_cv_;   ///< WaitAll: in-flight hit zero
-  std::deque<std::shared_ptr<JobHandle::State>> foreground_;
-  std::deque<std::shared_ptr<JobHandle::State>> background_;
-  std::size_t in_flight_ = 0;  ///< queued + running
+  std::condition_variable work_cv_;  ///< workers: queue or stop changed
+  std::deque<std::shared_ptr<JobHandle::State>> queue_;
   bool stopping_ = false;
 
   std::vector<std::thread> workers_;

@@ -7,7 +7,6 @@
 #include "cluster/anchor_embedding.h"
 #include "common/strings.h"
 #include "data/standardize.h"
-#include "exec/executor.h"
 #include "graph/anchors.h"
 #include "la/ops.h"
 #include "la/sparse.h"
@@ -244,26 +243,6 @@ Status StreamingUnifiedMVSC::SolveWindow(
 
 Status StreamingUnifiedMVSC::FullResolve(const std::string& reason,
                                          StreamingUpdateResult* out) {
-  exec::JobExecutor* executor = options_.executor;
-  if (executor == nullptr || executor->OnWorkerThread()) {
-    // No substrate (or already on it): solve on the calling thread.
-    return FullResolveNow(reason, out);
-  }
-  // Submit as a background job: tenant fits queued as foreground keep
-  // priority. Ingest's caller blocks on the handle, so `this`, `reason`,
-  // and `out` safely outlive the job.
-  exec::JobSpec spec;
-  spec.name = "stream-full-resolve";
-  spec.background = true;
-  spec.thread_budget = options_.resolve_thread_budget;
-  spec.work = [this, &reason, out](exec::JobContext&) -> Status {
-    return FullResolveNow(reason, out);
-  };
-  return executor->Submit(std::move(spec)).Await();
-}
-
-Status StreamingUnifiedMVSC::FullResolveNow(const std::string& reason,
-                                            StreamingUpdateResult* out) {
   // Compact so the flat arrays and the matrices built from them share row 0.
   CompactWindow();
 

@@ -12,10 +12,6 @@
 #include "mvsc/anchor_unified.h"
 #include "mvsc/unified.h"
 
-namespace umvsc::exec {
-class JobExecutor;  // exec/executor.h — optional re-solve substrate
-}  // namespace umvsc::exec
-
 namespace umvsc::stream {
 
 /// Options of the streaming unified solver. `unified` carries the model
@@ -64,18 +60,6 @@ struct StreamingOptions {
   /// path at all). This is the reference the drift bench compares
   /// cumulative ARI and latency against.
   bool always_full_resolve = false;
-
-  /// When set, full re-solves are submitted to this executor as BACKGROUND
-  /// jobs (foreground tenant work keeps priority) instead of running on
-  /// the Ingest thread directly: the solve runs under the declared thread
-  /// budget below and Ingest blocks on the job handle, so semantics and
-  /// results are unchanged (bitwise; the executor's determinism contract).
-  /// Calls that already run ON an executor worker solve inline to avoid
-  /// submit-and-wait deadlock. Non-owning; must outlive this object.
-  exec::JobExecutor* executor = nullptr;
-  /// Thread budget the submitted re-solve job declares (0 = process
-  /// default) — level 2 of the executor's two-level schedule.
-  std::size_t resolve_thread_budget = 0;
 };
 
 /// What one Ingest did and what came out of it.
@@ -196,11 +180,7 @@ class StreamingUnifiedMVSC {
   /// (G, R, α); `polish` runs the final (Y, R) re-search.
   Status SolveWindow(const mvsc::UnifiedOptions& solve_options, bool warm,
                      bool polish, StreamingUpdateResult* out);
-  /// Dispatch wrapper: runs FullResolveNow inline, or as a background
-  /// executor job (options_.executor) whose handle is awaited — identical
-  /// results either way.
   Status FullResolve(const std::string& reason, StreamingUpdateResult* out);
-  Status FullResolveNow(const std::string& reason, StreamingUpdateResult* out);
   Status IncrementalUpdate(StreamingUpdateResult* out);
 
   StreamingOptions options_;

@@ -1,6 +1,7 @@
 #include "mvsc/unified.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include <gtest/gtest.h>
 
@@ -195,6 +196,42 @@ TEST(UnifiedMvscTest, WarmStartMatchesColdStartWithFewerMatvecs) {
   EXPECT_EQ(*agreement, 1.0);
   EXPECT_LT(warm->lanczos_matvecs, cold->lanczos_matvecs);
   EXPECT_GT(warm->lanczos_matvecs, 0u);
+}
+
+// Metamorphic invariant of the exact path: the objective is a sum over
+// views, so reversing the view order must leave the partition and the
+// objective unchanged and reverse the learned weights.
+TEST(UnifiedMvscTest, ReversingViewsReversesWeightsAndKeepsPartition) {
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    SCOPED_TRACE(seed);
+    TestProblem problem = MakeProblem(seed);
+    data::MultiViewDataset reversed = problem.dataset;
+    std::reverse(reversed.views.begin(), reversed.views.end());
+    UnifiedMVSC solver(DefaultOptions(3));
+    StatusOr<UnifiedResult> forward =
+        solver.Run(problem.dataset, GraphOptions());
+    StatusOr<UnifiedResult> backward = solver.Run(reversed, GraphOptions());
+    ASSERT_TRUE(forward.ok()) << forward.status().ToString();
+    ASSERT_TRUE(backward.ok()) << backward.status().ToString();
+
+    StatusOr<double> ari =
+        eval::AdjustedRandIndex(backward->labels, forward->labels);
+    ASSERT_TRUE(ari.ok());
+    EXPECT_DOUBLE_EQ(*ari, 1.0);
+
+    const std::size_t v = forward->view_weights.size();
+    ASSERT_EQ(backward->view_weights.size(), v);
+    for (std::size_t i = 0; i < v; ++i) {
+      EXPECT_NEAR(backward->view_weights[i], forward->view_weights[v - 1 - i],
+                  1e-9);
+    }
+
+    ASSERT_FALSE(forward->objective_trace.empty());
+    ASSERT_FALSE(backward->objective_trace.empty());
+    const double f = forward->objective_trace.back();
+    const double b = backward->objective_trace.back();
+    EXPECT_NEAR(b, f, 1e-9 * std::abs(f));
+  }
 }
 
 TEST(UnifiedMvscTest, RejectsInvalidOptions) {
