@@ -56,17 +56,24 @@ void BM_SpectralEmbeddingSparse(benchmark::State& state) {
 }
 BENCHMARK(BM_SpectralEmbeddingSparse)->Arg(500)->Arg(2000);
 
+// Args: {n, c}. {200 000, 5} is the anchor fit's shape, where every sweep
+// touches an 8 MB F·R and the restarts fan out over the pool.
 void BM_Discretize(benchmark::State& state) {
   Rng rng(3);
   const auto n = static_cast<std::size_t>(state.range(0));
-  la::Matrix f = la::Orthonormalize(la::Matrix::RandomGaussian(n, 10, rng));
+  const auto c = static_cast<std::size_t>(state.range(1));
+  la::Matrix f = la::Orthonormalize(la::Matrix::RandomGaussian(n, c, rng));
   cluster::RotationOptions options;
   for (auto _ : state) {
     auto r = cluster::DiscretizeEmbedding(f, options);
     benchmark::DoNotOptimize(r);
   }
 }
-BENCHMARK(BM_Discretize)->Arg(500)->Arg(2000);
+BENCHMARK(BM_Discretize)
+    ->Args({500, 10})
+    ->Args({2000, 10})
+    ->Args({200000, 5})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_GpiSparse(benchmark::State& state) {
   data::MultiViewDataset d = Dataset(static_cast<std::size_t>(state.range(0)),

@@ -7,11 +7,14 @@
 // track at 1 thread and checks the labels are bitwise identical — the
 // streaming determinism contract.
 //
-// The headline numbers: steady-state incremental updates at least
-// `kSpeedupFloor`× faster than the oracle's full re-solves at the same
-// window, and the cumulative (mean over batches) truth-ARI within
-// `kAriGapCeiling` of the oracle's. `--smoke` shrinks the stream and turns
-// the thresholds into the exit code — the CI gate.
+// The headline number is `total_speedup`: the oracle's wall time over all
+// batches divided by the incremental track's, full re-solves included. The
+// gates: steady-state incremental updates (`incremental_speedup`, batches
+// without a re-solve) at least `kSpeedupFloor`× faster than the oracle's
+// full re-solves at the same window, and the cumulative (mean over
+// batches) truth-ARI within `kAriGapCeiling` of the oracle's. `--smoke`
+// shrinks the stream and turns the thresholds into the exit code — the CI
+// gate.
 //
 //   ./stream_sweep [--smoke] [--json=PATH]     (default BENCH_stream.json)
 
@@ -152,11 +155,25 @@ PassResult RunPass(const SweepConfig& cfg, bool oracle) {
   return pass;
 }
 
+// The sweep's scalar results, in the order the JSON lists them.
+struct Summary {
+  double total_inc_seconds = 0.0;
+  double total_oracle_seconds = 0.0;
+  double total_speedup = 0.0;
+  double mean_inc_seconds = 0.0;
+  double mean_oracle_seconds = 0.0;
+  double speedup = 0.0;
+  double cum_inc = 0.0;
+  double cum_oracle = 0.0;
+  double ari_gap = 0.0;
+  std::size_t resolves = 0;
+  bool determinism_ok = true;
+  bool speedup_ok = false;
+  bool ari_ok = false;
+};
+
 void WriteJson(const std::string& path, bool smoke, const SweepConfig& cfg,
-               const std::vector<BatchRow>& rows, double mean_inc_seconds,
-               double mean_oracle_seconds, double speedup, double cum_inc,
-               double cum_oracle, double ari_gap, std::size_t resolves,
-               bool determinism_ok, bool speedup_ok, bool ari_ok) {
+               const std::vector<BatchRow>& rows, const Summary& sum) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "stream_sweep: cannot write %s\n", path.c_str());
@@ -192,6 +209,9 @@ void WriteJson(const std::string& path, bool smoke, const SweepConfig& cfg,
   }
   std::fprintf(f, "  ],\n");
   std::fprintf(f,
+               "  \"total_speedup\": %.3f,\n"
+               "  \"total_incremental_seconds\": %.6f,\n"
+               "  \"total_oracle_seconds\": %.6f,\n"
                "  \"mean_incremental_seconds\": %.6f,\n"
                "  \"mean_oracle_seconds\": %.6f,\n"
                "  \"incremental_speedup\": %.3f,\n"
@@ -199,8 +219,10 @@ void WriteJson(const std::string& path, bool smoke, const SweepConfig& cfg,
                "  \"cumulative_ari_oracle\": %.6f,\n"
                "  \"ari_gap\": %.6f,\n"
                "  \"full_resolves_triggered\": %zu,\n",
-               mean_inc_seconds, mean_oracle_seconds, speedup, cum_inc,
-               cum_oracle, ari_gap, resolves);
+               sum.total_speedup, sum.total_inc_seconds,
+               sum.total_oracle_seconds, sum.mean_inc_seconds,
+               sum.mean_oracle_seconds, sum.speedup, sum.cum_inc,
+               sum.cum_oracle, sum.ari_gap, sum.resolves);
   std::fprintf(f, "  \"peak_rss_kb\": %zu,\n", PeakRssKb());
   std::fprintf(f,
                "  \"speedup_floor\": %.2f,\n  \"ari_gap_ceiling\": %.2f,\n",
@@ -208,8 +230,8 @@ void WriteJson(const std::string& path, bool smoke, const SweepConfig& cfg,
   std::fprintf(f,
                "  \"determinism_ok\": %s,\n  \"speedup_ok\": %s,\n"
                "  \"ari_gap_ok\": %s\n}\n",
-               determinism_ok ? "true" : "false", speedup_ok ? "true" : "false",
-               ari_ok ? "true" : "false");
+               sum.determinism_ok ? "true" : "false",
+               sum.speedup_ok ? "true" : "false", sum.ari_ok ? "true" : "false");
   std::fclose(f);
   std::printf("wrote %s\n", path.c_str());
 }
@@ -271,10 +293,9 @@ int main(int argc, char** argv) {
               "inc sec", "oracle sec", "ARI inc", "ARI orac", "agree",
               "resolve");
   std::vector<BatchRow> rows;
-  double cum_inc = 0.0, cum_oracle = 0.0;
+  Summary sum;
   double inc_steady = 0.0, oracle_steady = 0.0;
-  std::size_t steady = 0, resolves = 0;
-  bool determinism_ok = true;
+  std::size_t steady = 0;
   for (std::size_t t = 0; t < cfg.num_batches; ++t) {
     BatchRow row;
     row.batch = t;
@@ -290,9 +311,11 @@ int main(int argc, char** argv) {
     row.ari_inc_oracle = Ari(inc.labels[t], oracle.labels[t]);
     row.thread_invariant = inc.labels[t] == inc_t1.labels[t] &&
                            inc.reasons[t] == inc_t1.reasons[t];
-    determinism_ok = determinism_ok && row.thread_invariant;
-    cum_inc += row.ari_inc_truth;
-    cum_oracle += row.ari_oracle_truth;
+    sum.determinism_ok = sum.determinism_ok && row.thread_invariant;
+    sum.cum_inc += row.ari_inc_truth;
+    sum.cum_oracle += row.ari_oracle_truth;
+    sum.total_inc_seconds += row.inc_seconds;
+    sum.total_oracle_seconds += row.oracle_seconds;
     if (t > 0 && !row.inc_full_resolve) {
       // Steady state: incremental updates vs the oracle's re-solves on the
       // SAME batches (first batch excluded — both tracks solve cold there).
@@ -300,7 +323,7 @@ int main(int argc, char** argv) {
       oracle_steady += row.oracle_seconds;
       ++steady;
     }
-    if (t > 0 && row.inc_full_resolve) ++resolves;
+    if (t > 0 && row.inc_full_resolve) ++sum.resolves;
     std::printf("%6zu %9zu %11.4f %11.4f %9.4f %9.4f %9.4f  %s%s\n", t,
                 row.window_size, row.inc_seconds, row.oracle_seconds,
                 row.ari_inc_truth, row.ari_oracle_truth, row.ari_inc_oracle,
@@ -308,32 +331,37 @@ int main(int argc, char** argv) {
                 row.thread_invariant ? "" : "  THREAD-DIVERGED");
     rows.push_back(std::move(row));
   }
-  cum_inc /= static_cast<double>(cfg.num_batches);
-  cum_oracle /= static_cast<double>(cfg.num_batches);
-  const double mean_inc = steady > 0 ? inc_steady / static_cast<double>(steady)
-                                     : 0.0;
-  const double mean_oracle =
+  sum.cum_inc /= static_cast<double>(cfg.num_batches);
+  sum.cum_oracle /= static_cast<double>(cfg.num_batches);
+  sum.total_speedup = sum.total_inc_seconds > 0.0
+                          ? sum.total_oracle_seconds / sum.total_inc_seconds
+                          : 0.0;
+  sum.mean_inc_seconds =
+      steady > 0 ? inc_steady / static_cast<double>(steady) : 0.0;
+  sum.mean_oracle_seconds =
       steady > 0 ? oracle_steady / static_cast<double>(steady) : 0.0;
-  const double speedup = mean_inc > 0.0 ? mean_oracle / mean_inc : 0.0;
-  const double ari_gap = cum_oracle - cum_inc;
-  const bool speedup_ok = speedup >= cfg.speedup_floor;
-  const bool ari_ok = ari_gap <= kAriGapCeiling;
+  sum.speedup = sum.mean_inc_seconds > 0.0
+                    ? sum.mean_oracle_seconds / sum.mean_inc_seconds
+                    : 0.0;
+  sum.ari_gap = sum.cum_oracle - sum.cum_inc;
+  sum.speedup_ok = sum.speedup >= cfg.speedup_floor;
+  sum.ari_ok = sum.ari_gap <= kAriGapCeiling;
 
   std::printf(
-      "\nsteady-state: incremental %.4fs vs oracle %.4fs per batch — "
+      "\ntotal: incremental %.2fs vs oracle %.2fs over %zu batches — %.2fx\n"
+      "steady-state: incremental %.4fs vs oracle %.4fs per batch — "
       "%.1fx (floor %.1fx)\ncumulative ARI: incremental %.4f vs oracle "
       "%.4f — gap %.4f (ceiling %.2f)\nre-solves triggered: %zu; "
       "thread-bitwise labels: %s\n",
-      mean_inc, mean_oracle, speedup, cfg.speedup_floor, cum_inc, cum_oracle,
-      ari_gap, kAriGapCeiling, resolves, determinism_ok ? "yes" : "NO");
+      sum.total_inc_seconds, sum.total_oracle_seconds, cfg.num_batches,
+      sum.total_speedup, sum.mean_inc_seconds, sum.mean_oracle_seconds,
+      sum.speedup, cfg.speedup_floor, sum.cum_inc, sum.cum_oracle,
+      sum.ari_gap, kAriGapCeiling, sum.resolves,
+      sum.determinism_ok ? "yes" : "NO");
 
-  if (!json_path.empty()) {
-    WriteJson(json_path, smoke, cfg, rows, mean_inc, mean_oracle, speedup,
-              cum_inc, cum_oracle, ari_gap, resolves, determinism_ok,
-              speedup_ok, ari_ok);
-  }
+  if (!json_path.empty()) WriteJson(json_path, smoke, cfg, rows, sum);
 
-  if (smoke && !(speedup_ok && ari_ok && determinism_ok)) {
+  if (smoke && !(sum.speedup_ok && sum.ari_ok && sum.determinism_ok)) {
     std::fprintf(stderr, "stream_sweep: smoke gate FAILED\n");
     return 1;
   }

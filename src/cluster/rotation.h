@@ -36,9 +36,6 @@ struct RotationResult {
   std::size_t iterations = 0;
 };
 
-/// Converts a binary indicator matrix to per-row labels.
-std::vector<std::size_t> IndicatorToLabels(const la::Matrix& y);
-
 /// Builds the n × c binary indicator of a label vector.
 la::Matrix LabelsToIndicator(const std::vector<std::size_t>& labels,
                              std::size_t num_clusters);
@@ -47,11 +44,29 @@ la::Matrix LabelsToIndicator(const std::vector<std::size_t>& labels,
 /// empty columns stay zero).
 la::Matrix ScaledIndicator(const la::Matrix& y);
 
+/// The fused tail of a Y-step: overwrites `y_hat` with Ŷ for `labels` —
+/// ScaledIndicator(LabelsToIndicator(labels, c)) when `scale_indicator`,
+/// else the plain indicator — and returns ‖Ŷ − F·R‖_F for `fr` = F·R, in
+/// one row-major pass with no allocation. `counts[j]` must be the number
+/// of rows labelled j. `y_hat` must be shaped like `fr` and may be the same
+/// matrix (F·R is then replaced by Ŷ). The norm is bitwise equal to
+/// la::Add(Ŷ, fr, −1.0).FrobeniusNorm().
+double IndicatorResidual(const std::vector<std::size_t>& labels,
+                         const std::vector<std::size_t>& counts,
+                         bool scale_indicator, const la::Matrix& fr,
+                         la::Matrix& y_hat);
+
 /// Yu–Shi discretization: alternately solve
 ///   Y ← argmin ‖Ŷ − F·R‖²  (row-wise argmax of F·R)
 ///   R ← argmin ‖Ŷ − F·R‖²  (orthogonal Procrustes on FᵀŶ)
 /// until the objective stalls. F must have orthonormal (or at least
 /// well-conditioned) columns; requires F.cols() >= 1.
+///
+/// The restarts run concurrently on the global pool, one n × c workspace
+/// per participating thread. Their random streams are split from `seed`
+/// in attempt order and the winner is the first attempt to reach the
+/// lowest objective, so the result is bitwise identical at every thread
+/// count.
 StatusOr<RotationResult> DiscretizeEmbedding(const la::Matrix& f,
                                              const RotationOptions& options);
 

@@ -138,26 +138,25 @@ StatusOr<ReducedSolveState> SolveReducedAlternation(
   auto objective = [&](const la::Matrix& g_cur, const la::Matrix& rot,
                        const la::Matrix& y_hat_cur,
                        const la::Matrix& f_full_cur) {
-    double obj = 0.0;
-    for (std::size_t v = 0; v < num_views; ++v) {
-      obj += weights.coefficients[v] * la::QuadraticTrace(reduced[v], g_cur);
-    }
-    la::Matrix residual =
-        la::Add(y_hat_cur, la::MatMul(f_full_cur, rot), -1.0);
-    const double r = residual.FrobeniusNorm();
-    return obj + options.beta * r * r;
+    const double residual =
+        la::Add(y_hat_cur, la::MatMul(f_full_cur, rot), -1.0).FrobeniusNorm();
+    return internal::ObjectiveFromResidual(reduced, weights.coefficients,
+                                           options.beta, g_cur, residual);
   };
 
   la::Matrix f_full = la::MatMul(basis, g);  // n × c reconstruction
   la::Matrix rotation;
-  la::Matrix indicator;
+  std::vector<std::size_t> labels;
+  std::vector<std::size_t> counts(c);  // Y-step cluster sizes
+  la::Matrix y_hat;
   if (warm_rotation) {
     // Warm entry: the carried rotation is already at (or near) the previous
     // solve's fixed point — the indicator falls straight out of a row-argmax
-    // pass, no restart search.
+    // pass, no restart search. Ŷ overwrites F·R in place.
     rotation = warm->rotation;
-    const la::Matrix fr = la::MatMul(f_full, rotation);
-    indicator = cluster::LabelsToIndicator(internal::DiscretizeRows(fr, c), c);
+    y_hat = la::MatMul(f_full, rotation);
+    internal::DiscretizeStep(y_hat, options.scale_indicator, labels, counts,
+                             y_hat);
   } else {
     cluster::RotationOptions rot_init;
     rot_init.seed = options.seed + 31;
@@ -167,11 +166,11 @@ StatusOr<ReducedSolveState> SolveReducedAlternation(
         cluster::DiscretizeEmbedding(f_full, rot_init);
     if (!init_disc.ok()) return init_disc.status();
     rotation = std::move(init_disc->rotation);
-    indicator = std::move(init_disc->indicator);
+    labels = std::move(init_disc->labels);
+    y_hat = options.scale_indicator
+                ? cluster::ScaledIndicator(init_disc->indicator)
+                : std::move(init_disc->indicator);
   }
-  la::Matrix y_hat = options.scale_indicator
-                         ? cluster::ScaledIndicator(indicator)
-                         : indicator;
   // Reduced image P = BᵀŶ (p × c): the ONLY coupling the G- and R-steps
   // need from the n-row indicator.
   la::Matrix p_red = la::MatTMul(basis, y_hat);
@@ -202,12 +201,11 @@ StatusOr<ReducedSolveState> SolveReducedAlternation(
 
     // --- Y-step: the one reconstruction per iteration — labels are an
     // n-point object, so the row-argmax of F·R = B·(G·R) must see n rows.
+    // The same F·R yields the objective's residual.
     la::MatMulInto(basis, g, f_full);
     la::MatMulInto(f_full, rotation, fr);
-    std::vector<std::size_t> labels = internal::DiscretizeRows(fr, c);
-    indicator = cluster::LabelsToIndicator(labels, c);
-    y_hat = options.scale_indicator ? cluster::ScaledIndicator(indicator)
-                                    : indicator;
+    const double residual = internal::DiscretizeStep(
+        fr, options.scale_indicator, labels, counts, y_hat);
     la::MatTMulInto(basis, y_hat, p_red);
 
     // --- α-step: closed form on the reduced traces.
@@ -215,7 +213,8 @@ StatusOr<ReducedSolveState> SolveReducedAlternation(
         internal::ViewSmoothness(reduced, g, floors), options.weighting,
         options.gamma);
 
-    const double obj = objective(g, rotation, y_hat, f_full);
+    const double obj = internal::ObjectiveFromResidual(
+        reduced, weights.coefficients, options.beta, g, residual);
     result->objective_trace.push_back(obj);
     result->iterations = iter + 1;
     if (iter > 0 &&
@@ -246,7 +245,7 @@ StatusOr<ReducedSolveState> SolveReducedAlternation(
           objective(g, polished->rotation, polished_y_hat, f_full);
       if (candidate < incumbent) {
         rotation = std::move(polished->rotation);
-        indicator = std::move(polished->indicator);
+        labels = std::move(polished->labels);
         y_hat = std::move(polished_y_hat);
       }
     }
@@ -259,8 +258,8 @@ StatusOr<ReducedSolveState> SolveReducedAlternation(
   state.rotation = rotation;
   state.weight_coefficients = weights.coefficients;
 
-  result->labels = cluster::IndicatorToLabels(indicator);
-  result->indicator = std::move(indicator);
+  result->indicator = cluster::LabelsToIndicator(labels, c);
+  result->labels = std::move(labels);
   result->embedding = std::move(f_full);
   result->rotation = std::move(rotation);
   result->view_weights = weights.alpha;

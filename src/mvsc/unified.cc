@@ -166,11 +166,12 @@ Weights UpdateWeights(const std::vector<double>& h, ViewWeighting mode,
 // steals the row with the largest affinity F·R(:, j) among rows whose
 // cluster keeps >= 2 members, so the solver cannot silently collapse
 // clusters (mirrors the K-means empty-cluster convention).
-std::vector<std::size_t> DiscretizeRows(const la::Matrix& fr,
-                                        std::size_t num_clusters) {
+void DiscretizeRows(const la::Matrix& fr, std::vector<std::size_t>& labels,
+                    std::vector<std::size_t>& counts) {
   const std::size_t n = fr.rows();
-  std::vector<std::size_t> labels(n, 0);
-  std::vector<std::size_t> counts(num_clusters, 0);
+  const std::size_t num_clusters = fr.cols();
+  labels.assign(n, 0);
+  counts.assign(num_clusters, 0);
   for (std::size_t i = 0; i < n; ++i) {
     double best = -std::numeric_limits<double>::infinity();
     for (std::size_t j = 0; j < num_clusters; ++j) {
@@ -198,18 +199,20 @@ std::vector<std::size_t> DiscretizeRows(const la::Matrix& fr,
       counts[j] = 1;
     }
   }
-  return labels;
 }
 
-}  // namespace internal
+double DiscretizeStep(const la::Matrix& fr, bool scale_indicator,
+                      std::vector<std::size_t>& labels,
+                      std::vector<std::size_t>& counts, la::Matrix& y_hat) {
+  DiscretizeRows(fr, labels, counts);
+  return cluster::IndicatorResidual(labels, counts, scale_indicator, fr,
+                                    y_hat);
+}
 
-double UnifiedObjective(const std::vector<la::CsrMatrix>& laplacians,
-                        const std::vector<double>& weight_coefficients,
-                        double beta, const la::Matrix& f,
-                        const la::Matrix& rotation,
-                        const la::Matrix& indicator_scaled) {
-  // Per-view traces fan out; the weighted sum is then taken serially in
-  // view order, keeping the objective bitwise stable across thread counts.
+double ObjectiveFromResidual(const std::vector<la::CsrMatrix>& laplacians,
+                             const std::vector<double>& weight_coefficients,
+                             double beta, const la::Matrix& f,
+                             double residual) {
   std::vector<double> traces(laplacians.size(), 0.0);
   ParallelFor(0, laplacians.size(), 1, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t v = lo; v < hi; ++v) {
@@ -220,9 +223,20 @@ double UnifiedObjective(const std::vector<la::CsrMatrix>& laplacians,
   for (std::size_t v = 0; v < laplacians.size(); ++v) {
     obj += weight_coefficients[v] * traces[v];
   }
-  la::Matrix residual = la::Add(indicator_scaled, la::MatMul(f, rotation), -1.0);
-  const double r = residual.FrobeniusNorm();
-  return obj + beta * r * r;
+  return obj + beta * residual * residual;
+}
+
+}  // namespace internal
+
+double UnifiedObjective(const std::vector<la::CsrMatrix>& laplacians,
+                        const std::vector<double>& weight_coefficients,
+                        double beta, const la::Matrix& f,
+                        const la::Matrix& rotation,
+                        const la::Matrix& indicator_scaled) {
+  const double residual =
+      la::Add(indicator_scaled, la::MatMul(f, rotation), -1.0).FrobeniusNorm();
+  return internal::ObjectiveFromResidual(laplacians, weight_coefficients, beta,
+                                         f, residual);
 }
 
 StatusOr<UnifiedResult> UnifiedMVSC::Run(const MultiViewGraphs& graphs) const {
@@ -310,16 +324,17 @@ StatusOr<UnifiedResult> UnifiedMVSC::Run(const MultiViewGraphs& graphs) const {
       cluster::DiscretizeEmbedding(f, rot_init);
   if (!init_disc.ok()) return init_disc.status();
   la::Matrix rotation = std::move(init_disc->rotation);
-  la::Matrix indicator = std::move(init_disc->indicator);
+  std::vector<std::size_t> labels = std::move(init_disc->labels);
   la::Matrix y_hat = options_.scale_indicator
-                         ? cluster::ScaledIndicator(indicator)
-                         : indicator;
+                         ? cluster::ScaledIndicator(init_disc->indicator)
+                         : std::move(init_disc->indicator);
 
   // Per-iteration temporaries, shaped once: the Into-style producers
   // overwrite them every iteration.
   la::Matrix b(n, c);    // F-step right-hand side β·Ŷ·Rᵀ
   la::Matrix ctc(c, c);  // R-step Procrustes input FᵀŶ
   la::Matrix fr(n, c);   // Y-step rotated embedding F·R
+  std::vector<std::size_t> counts(c);  // Y-step cluster sizes
   double prev_obj = std::numeric_limits<double>::infinity();
   for (std::size_t iter = 0; iter < options_.max_iterations; ++iter) {
     // --- F-step: min Tr(FᵀAF) − 2β·Tr(Fᵀ Ŷ Rᵀ) on the Stiefel manifold.
@@ -341,20 +356,18 @@ StatusOr<UnifiedResult> UnifiedMVSC::Run(const MultiViewGraphs& graphs) const {
     if (!rstep.ok()) return rstep.status();
     rotation = std::move(*rstep);
 
-    // --- Y-step: row-wise argmax of F·R (exact given F, R).
+    // --- Y-step: row-wise argmax of F·R (exact given F, R); the same F·R
+    // yields the objective's residual.
     la::MatMulInto(f, rotation, fr);
-    std::vector<std::size_t> labels = internal::DiscretizeRows(fr, c);
-    indicator = cluster::LabelsToIndicator(labels, c);
-    y_hat = options_.scale_indicator ? cluster::ScaledIndicator(indicator)
-                                     : indicator;
+    const double residual = internal::DiscretizeStep(
+        fr, options_.scale_indicator, labels, counts, y_hat);
 
     // --- α-step: closed form from the fresh smoothness values.
     weights = internal::UpdateWeights(internal::ViewSmoothness(graphs.laplacians, f, floors),
                             options_.weighting, options_.gamma);
 
-    const double obj =
-        UnifiedObjective(graphs.laplacians, weights.coefficients, options_.beta,
-                         f, rotation, y_hat);
+    const double obj = internal::ObjectiveFromResidual(
+        graphs.laplacians, weights.coefficients, options_.beta, f, residual);
     out.objective_trace.push_back(obj);
     out.iterations = iter + 1;
     if (iter > 0 && std::fabs(prev_obj - obj) <=
@@ -388,13 +401,13 @@ StatusOr<UnifiedResult> UnifiedMVSC::Run(const MultiViewGraphs& graphs) const {
           polished->rotation, polished_y_hat);
       if (candidate < incumbent) {
         rotation = std::move(polished->rotation);
-        indicator = std::move(polished->indicator);
+        labels = std::move(polished->labels);
       }
     }
   }
 
-  out.labels = cluster::IndicatorToLabels(indicator);
-  out.indicator = std::move(indicator);
+  out.indicator = cluster::LabelsToIndicator(labels, c);
+  out.labels = std::move(labels);
   out.embedding = std::move(f);
   out.rotation = std::move(rotation);
   out.view_weights = std::move(weights.alpha);

@@ -48,11 +48,31 @@ struct Weights {
 Weights UpdateWeights(const std::vector<double>& h, ViewWeighting mode,
                       double gamma);
 
-/// Row-argmax discretization with empty-cluster repair (ties keep the
-/// smaller column index; an empty column steals the best row among clusters
-/// that keep >= 2 members).
-std::vector<std::size_t> DiscretizeRows(const la::Matrix& fr,
-                                        std::size_t num_clusters);
+/// Row-argmax discretization of F·R (one cluster per column) with
+/// empty-cluster repair (ties keep the smaller column index; an empty
+/// column steals the best row among clusters that keep >= 2 members).
+/// Overwrites `labels` (resized to fr.rows()) and `counts` (the repaired
+/// cluster sizes, resized to fr.cols()), so a loop can reuse both.
+void DiscretizeRows(const la::Matrix& fr, std::vector<std::size_t>& labels,
+                    std::vector<std::size_t>& counts);
+
+/// The alternations' Y-step on a freshly computed `fr` = F·R: labels by
+/// DiscretizeRows, Ŷ written into `y_hat` (shaped like `fr`, overwritten;
+/// it may be `fr` itself), and ‖Ŷ − F·R‖_F returned — the residual the objective needs, from the
+/// F·R the step already holds (cluster::IndicatorResidual).
+double DiscretizeStep(const la::Matrix& fr, bool scale_indicator,
+                      std::vector<std::size_t>& labels,
+                      std::vector<std::size_t>& counts, la::Matrix& y_hat);
+
+/// The unified objective Σ_v coefficients[v]·Tr(FᵀL_vF) + β·residual²,
+/// given the discretization residual ‖Ŷ − F·R‖_F. The per-view traces fan
+/// out; the weighted sum runs serially in view order. Both paths use it: on
+/// the reduced path F is the p × c G and L_v the reduced H_v, whose traces
+/// equal the n-row ones.
+double ObjectiveFromResidual(const std::vector<la::CsrMatrix>& laplacians,
+                             const std::vector<double>& weight_coefficients,
+                             double beta, const la::Matrix& f,
+                             double residual);
 
 }  // namespace umvsc::mvsc::internal
 

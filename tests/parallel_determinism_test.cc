@@ -1,6 +1,7 @@
 // End-to-end determinism contract (docs/THREADING.md): every parallelized
-// kernel, and a full UnifiedMVSC run on top of them, must produce BITWISE
-// identical output at 1, 2, and 8 threads from the same seed.
+// kernel, and full UnifiedMVSC and anchor solves on top of them, must
+// produce BITWISE identical output at 1, 2, and 8 threads from the same
+// seed.
 
 #include <cmath>
 #include <cstring>
@@ -16,6 +17,7 @@
 #include "la/matrix.h"
 #include "la/ops.h"
 #include "la/sparse.h"
+#include "mvsc/anchor_unified.h"
 #include "mvsc/graphs.h"
 #include "mvsc/unified.h"
 
@@ -283,6 +285,49 @@ TEST(ParallelDeterminismTest, FullUnifiedRunIsBitwiseIdenticalAcrossThreads) {
     EXPECT_EQ(ref.warmup_trace, got.warmup_trace) << threads << " threads";
     EXPECT_EQ(ref.view_weights, got.view_weights) << threads << " threads";
     EXPECT_TRUE(BitwiseEqual(ref.embedding, got.embedding))
+        << threads << " threads";
+    EXPECT_EQ(ref.iterations, got.iterations) << threads << " threads";
+  }
+}
+
+
+// The anchor path at a size where each rotation search fans its restarts
+// out over the pool and every restart sweeps tens of thousands of rows in
+// a per-thread workspace: labels, objective trace and iteration count must
+// not see the thread count.
+TEST(ParallelDeterminismTest, AnchorSolveIsBitwiseIdenticalAcrossThreads) {
+  data::MultiViewConfig config;
+  config.num_samples = 20000;
+  config.num_clusters = 5;
+  config.cluster_separation = 6.0;
+  config.views = {{8, data::ViewQuality::kInformative, 1.0},
+                  {6, data::ViewQuality::kInformative, 1.0}};
+  config.seed = 23;
+  StatusOr<data::MultiViewDataset> dataset =
+      data::MakeGaussianMultiView(config);
+  ASSERT_TRUE(dataset.ok());
+  mvsc::UnifiedOptions options;
+  options.num_clusters = 5;
+  options.seed = 3;
+  options.anchors.enabled = true;
+  options.anchors.num_anchors = 128;
+  options.anchors.anchor_neighbors = 5;
+
+  auto run_at = [&](std::size_t threads) {
+    ScopedNumThreads scope(threads);
+    StatusOr<mvsc::AnchorUnifiedResult> result =
+        mvsc::SolveUnifiedAnchors(*dataset, options);
+    EXPECT_TRUE(result.ok());
+    return std::move(result->result);
+  };
+
+  const mvsc::UnifiedResult ref = run_at(1);
+  ASSERT_EQ(ref.labels.size(), config.num_samples);
+  ASSERT_FALSE(ref.objective_trace.empty());
+  for (std::size_t threads : kThreadCounts) {
+    const mvsc::UnifiedResult got = run_at(threads);
+    EXPECT_EQ(ref.labels, got.labels) << threads << " threads";
+    EXPECT_EQ(ref.objective_trace, got.objective_trace)
         << threads << " threads";
     EXPECT_EQ(ref.iterations, got.iterations) << threads << " threads";
   }
