@@ -1,10 +1,7 @@
 #include "la/lanczos.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
-#include <string>
 
 #include "common/parallel.h"
 #include "common/rng.h"
@@ -618,42 +615,9 @@ StatusOr<SymEigenResult> BlockLanczosSmallest(const CsrMatrix& a, std::size_t k,
 // Auto-policy
 // ---------------------------------------------------------------------------
 
-namespace {
-
-// Process-global override slot for ScopedEigensolveMode; -1 means no
-// override is live. Same shape as kernel::ScopedForceScalar's flag.
-std::atomic<int>& EigensolveOverrideSlot() {
-  static std::atomic<int> slot{-1};
-  return slot;
-}
-
-}  // namespace
-
-ScopedEigensolveMode::ScopedEigensolveMode(EigensolveMode mode)
-    : previous_(static_cast<EigensolveMode>(-1)) {
-  const int raw = EigensolveOverrideSlot().exchange(
-      static_cast<int>(mode), std::memory_order_relaxed);
-  previous_ = static_cast<EigensolveMode>(raw);
-}
-
-ScopedEigensolveMode::~ScopedEigensolveMode() {
-  EigensolveOverrideSlot().store(static_cast<int>(previous_),
-                                 std::memory_order_relaxed);
-}
-
 EigensolveMode ResolveEigensolveMode(EigensolveMode requested,
                                      std::size_t /*n*/, std::size_t k) {
-  const int scoped = EigensolveOverrideSlot().load(std::memory_order_relaxed);
-  if (scoped == static_cast<int>(EigensolveMode::kForceBlock) ||
-      scoped == static_cast<int>(EigensolveMode::kForceSingle)) {
-    return static_cast<EigensolveMode>(scoped);
-  }
   if (requested != EigensolveMode::kAuto) return requested;
-  if (const char* env = std::getenv("UMVSC_EIGENSOLVER")) {
-    const std::string value(env);
-    if (value == "block") return EigensolveMode::kForceBlock;
-    if (value == "single") return EigensolveMode::kForceSingle;
-  }
   // Wide panels amortize the basis products and capture a c-fold
   // multiplicity in one shot (the ORL shape, 400 × 40, runs ~20% faster
   // through the block path while the single-vector solver needs 7× the

@@ -134,13 +134,10 @@ StatusOr<SymEigenResult> BlockLanczosSmallest(
 
 /// Which Lanczos implementation an eigensolve should run through.
 enum class EigensolveMode {
-  /// Consult, in order: a live ScopedEigensolveMode override, the
-  /// UMVSC_EIGENSOLVER environment variable ("block" / "single"; anything
-  /// else falls through), and finally the shape rule: block iff k ≥ 16.
-  /// Both paths converge to the same eigenpairs within solver tolerance,
-  /// but their floating-point bits may differ, so the rule is a fixed
-  /// function of k — never of timings — and a given shape resolves the
-  /// same way on every host and run.
+  /// The shape rule: block iff k ≥ 16. Both paths converge to the same
+  /// eigenpairs within solver tolerance, but their floating-point bits may
+  /// differ, so the rule is a fixed function of k — never of timings — and
+  /// a given shape resolves the same way on every host and run.
   kAuto,
   /// Always the panel (block) solver.
   kForceBlock,
@@ -148,27 +145,10 @@ enum class EigensolveMode {
   kForceSingle,
 };
 
-/// RAII process-wide mode override — the strongest word in the resolution
-/// order, above even an explicit per-call mode. For tests and benches that
-/// must pin one path across library code they do not control. Not
-/// scope-nestable across threads (it swaps a process-global, like
-/// kernel::ScopedForceScalar).
-class ScopedEigensolveMode {
- public:
-  explicit ScopedEigensolveMode(EigensolveMode mode);
-  ~ScopedEigensolveMode();
-  ScopedEigensolveMode(const ScopedEigensolveMode&) = delete;
-  ScopedEigensolveMode& operator=(const ScopedEigensolveMode&) = delete;
-
- private:
-  EigensolveMode previous_;
-};
-
 /// Resolves `requested` to a concrete solver choice for a k-pair solve at
-/// size n. Never returns kAuto. Resolution order: ScopedEigensolveMode
-/// override → `requested` (when not kAuto) → UMVSC_EIGENSOLVER environment
-/// variable ("block" / "single") → block iff k ≥ 16. `n` is accepted for
-/// call-site symmetry with the solvers; the rule does not read it.
+/// size n. Never returns kAuto: `requested` when it is not kAuto, else
+/// block iff k ≥ 16. `n` is accepted for call-site symmetry with the
+/// solvers; the rule does not read it.
 EigensolveMode ResolveEigensolveMode(EigensolveMode requested, std::size_t n,
                                      std::size_t k);
 

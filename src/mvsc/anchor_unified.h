@@ -2,11 +2,13 @@
 #define UMVSC_MVSC_ANCHOR_UNIFIED_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "common/status.h"
 #include "data/dataset.h"
 #include "la/matrix.h"
+#include "la/sparse.h"
 #include "la/vector.h"
 #include "mvsc/unified.h"
 
@@ -45,6 +47,32 @@ struct AnchorModel {
   la::Matrix assignment;
 };
 
+/// One view's anchor fit: the model that extends the view to new points,
+/// the n × m bipartite graph Z_v it was fitted on (s-sparse rows, raw
+/// row-stochastic weights — BuildReducedProblem normalizes them), and the
+/// n × k_v anchor embedding U_v = Z_v·anchor_map.
+struct AnchorViewFit {
+  AnchorViewModel model;
+  la::CsrMatrix z;
+  la::Matrix embedding;
+};
+
+/// The per-view stage of every anchor solve (SolveUnifiedAnchors and the
+/// streaming full re-solve): optional z-scoring (data/standardize.h,
+/// recorded in the model) → graph::SelectAnchors(options.anchors.num_anchors
+/// anchors, options.anchors.selection, `anchor_seed`) →
+/// graph::BuildAnchorAffinity(options.anchors.anchor_neighbors,
+/// options.anchors.tile_rows) → cluster::AnchorSpectralEmbedding with
+/// k_v = min(basis_per_view, m) directions, where basis_per_view = 0
+/// resolves against the CURRENT options.num_clusters as c + 2. Lanczos
+/// operator applications are added to `*matvec_count` (when non-null).
+/// Bitwise deterministic at every thread count and tile size.
+StatusOr<AnchorViewFit> FitAnchorView(la::Matrix x,
+                                      const UnifiedOptions& options,
+                                      std::uint64_t anchor_seed,
+                                      bool standardize,
+                                      std::size_t* matvec_count);
+
 /// Result of the anchor-mode unified solve: the standard UnifiedResult
 /// (labels, n × c embedding/indicator, rotation, weights, traces) plus the
 /// model needed for out-of-sample assignment.
@@ -56,13 +84,15 @@ struct AnchorUnifiedResult {
 /// The unified multi-view solver in anchor (reduced-space) form — the
 /// large-scale path behind UnifiedOptions::anchors:
 ///
-///   per view: anchors A_v (seeded k-means++/uniform) → bipartite Z_v
-///   (n × m, s-sparse) → anchor embedding U_v = Ẑ_v·map_v (n × k_v)
-///   joint basis: B = [U_1 | … | U_V]·T, T from the Gram eigendecomposition
-///   (rank-deficient directions truncated) — an orthonormal n × p basis,
-///   p = Σ k_v (minus truncation)
-///   reduced Laplacians: H_v = BᵀL_vB = BᵀB − (Ẑ_vᵀB)ᵀ(Ẑ_vᵀB), p × p with
-///   spectrum in [0, 2] — computed in O(n·s·p) without forming L_v
+///   per view (FitAnchorView, seed + 211·(v + 1)): anchors A_v (seeded
+///   k-means++/uniform) → bipartite Z_v (n × m, s-sparse) → anchor
+///   embedding U_v = Ẑ_v·map_v (n × k_v)
+///   joint basis (BuildReducedProblem): B = [U_1 | … | U_V]·T, T from the
+///   Gram eigendecomposition (rank-deficient directions truncated) — an
+///   orthonormal n × p basis, p = Σ k_v (minus truncation)
+///   reduced Laplacians (BuildReducedProblem): H_v = BᵀL_vB =
+///   BᵀB − (Ẑ_vᵀB)ᵀ(Ẑ_vᵀB), p × p with spectrum in [0, 2] — computed in
+///   O(n·s·p) without forming L_v
 ///
 /// then the EXACT solver loop of unified.cc restricted to F = B·G: spectral
 /// floors, warm-started init alternations, and the alternating G/R/Y/α

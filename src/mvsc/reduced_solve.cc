@@ -51,6 +51,46 @@ StatusOr<la::Matrix> JointOrthonormalBasis(const la::Matrix& concat,
   return basis;
 }
 
+namespace {
+
+// Z ← Ẑ = Z·Λ^{−1/2} in place, Λ = diag(column masses of Z) accumulated
+// serially in storage order (AnchorSpectralEmbedding's rule).
+void NormalizeColumns(la::CsrMatrix& z) {
+  const std::vector<std::size_t>& cols = z.col_indices();
+  const std::vector<double>& vals = z.values();
+  std::vector<double> inv_sqrt(z.cols(), 0.0);
+  for (std::size_t e = 0; e < vals.size(); ++e) inv_sqrt[cols[e]] += vals[e];
+  for (double& mass : inv_sqrt) {
+    mass = mass > 0.0 ? 1.0 / std::sqrt(mass) : 0.0;
+  }
+  z.ScaleColumns(inv_sqrt);
+}
+
+}  // namespace
+
+StatusOr<ReducedProblem> BuildReducedProblem(
+    la::Matrix concat, std::size_t num_views,
+    const std::function<la::CsrMatrix(std::size_t)>& view_graph,
+    std::size_t num_clusters) {
+  ReducedProblem out;
+  StatusOr<la::Matrix> basis =
+      JointOrthonormalBasis(concat, num_clusters, &out.mix);
+  if (!basis.ok()) return basis.status();
+  out.basis = std::move(*basis);
+  concat = la::Matrix();  // the basis was its last use
+  const la::Matrix btb = la::Gram(out.basis);
+  out.laplacians.resize(num_views);
+  for (std::size_t v = 0; v < num_views; ++v) {
+    la::CsrMatrix zhat = view_graph(v);
+    NormalizeColumns(zhat);
+    const la::Matrix e = zhat.Transposed().Multiply(out.basis);
+    la::Matrix h = la::Add(btb, la::Gram(e), -1.0);
+    h.Symmetrize();
+    out.laplacians[v] = la::CsrMatrix::FromDense(h);
+  }
+  return out;
+}
+
 StatusOr<ReducedSolveState> SolveReducedAlternation(
     const std::vector<la::CsrMatrix>& reduced, const la::Matrix& basis,
     const UnifiedOptions& options, const ReducedSolveControls& controls,

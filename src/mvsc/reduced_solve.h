@@ -1,6 +1,8 @@
 #ifndef UMVSC_MVSC_REDUCED_SOLVE_H_
 #define UMVSC_MVSC_REDUCED_SOLVE_H_
 
+#include <cstddef>
+#include <functional>
 #include <vector>
 
 #include "common/status.h"
@@ -29,6 +31,37 @@ namespace umvsc::mvsc {
 StatusOr<la::Matrix> JointOrthonormalBasis(const la::Matrix& concat,
                                            std::size_t min_rank,
                                            la::Matrix* mix_out);
+
+/// The reduced problem of one anchor solve over n rows: the joint basis
+/// and every view's reduced Laplacian.
+struct ReducedProblem {
+  la::Matrix basis;  ///< n × p orthonormal B = concat·mix
+  la::Matrix mix;    ///< p_full × p (JointOrthonormalBasis)
+  /// H_v = BᵀL_vB = BᵀB − E_vᵀE_v with E_v = Ẑ_vᵀB (m × p, one transposed
+  /// SpMM — O(n·s·p), never an n × n Laplacian), Ẑ_v = Z_v·Λ_v^{−1/2};
+  /// symmetrized, p × p CSR, so the exact path's combiner, eigensolves,
+  /// GPI and trace kernels apply unchanged. Spectrum in [0, 1] up to basis
+  /// rounding (Z row-stochastic).
+  std::vector<la::CsrMatrix> laplacians;
+};
+
+/// Builds the ReducedProblem from the concatenated per-view embeddings
+/// [U_1 | … | U_V] (n × p_full, consumed: released once the basis is
+/// built) and each view's raw bipartite graph Z_v (n × m_v, the rows of
+/// `concat` in the same order), which `view_graph(v)` returns — called
+/// once per view, in view order, and normalized in place into Ẑ_v, which
+/// is released once its H_v is built; a caller that assembles the graphs
+/// on demand holds one at a time. The degree normalization Λ_v is the
+/// column masses of the Z_v given — accumulated serially in storage
+/// order, bitwise equal to cluster::AnchorEmbeddingResult::anchor_mass on
+/// the same Z — so a caller whose rows changed since the embedding (the
+/// streaming window) gets the CURRENT masses: stale ones would let ‖ẐẐᵀ‖
+/// exceed 1 and drive H_v indefinite. Errors when the basis rank falls
+/// below `num_clusters`.
+StatusOr<ReducedProblem> BuildReducedProblem(
+    la::Matrix concat, std::size_t num_views,
+    const std::function<la::CsrMatrix(std::size_t)>& view_graph,
+    std::size_t num_clusters);
 
 /// State carried between solves to warm-start the next one: the reduced
 /// embedding seeds the init eigensolves (la::LanczosOptions::warm_start),

@@ -23,7 +23,7 @@ constexpr double kTraceFloor = 1e-12;
 }  // namespace
 
 // The shared solver blocks below are declared in unified_internal.h so the
-// reduced anchor path (anchor_unified.cc) runs the SAME update semantics.
+// reduced anchor path (reduced_solve.cc) runs the SAME update semantics.
 namespace internal {
 
 // Per-view smoothness h_v = Tr(Fᵀ L_v F) − offset_v, floored away from zero

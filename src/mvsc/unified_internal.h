@@ -13,7 +13,7 @@
 namespace umvsc::mvsc::internal {
 
 /// Shared building blocks of the unified solver, used by BOTH the exact
-/// n-row path (unified.cc) and the reduced anchor path (anchor_unified.cc).
+/// n-row path (unified.cc) and the reduced anchor path (reduced_solve.cc).
 /// The two paths must keep identical update semantics — α-step, floors,
 /// discretization repair — so the blocks live here instead of being
 /// duplicated. Nothing outside mvsc/ should include this header.
@@ -24,7 +24,8 @@ std::vector<double> ViewSmoothness(const std::vector<la::CsrMatrix>& laplacians,
                                    const la::Matrix& f,
                                    const std::vector<double>& offsets);
 
-/// Smallest-eigenpairs dispatch through the measured block/single policy.
+/// Smallest-eigenpairs dispatch: `mode` when forced, else the static shape
+/// rule of la::ResolveEigensolveMode (block iff c ≥ 16).
 StatusOr<la::SymEigenResult> SmallestEigenpairsSparse(
     const la::CsrMatrix& lap, std::size_t c, double spectral_bound,
     const la::LanczosOptions& options, la::EigensolveMode mode);

@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <utility>
 
-#include "cluster/anchor_embedding.h"
 #include "common/strings.h"
-#include "data/standardize.h"
-#include "graph/anchors.h"
 #include "la/ops.h"
 #include "la/sparse.h"
 #include "mvsc/anchor_assign.h"
@@ -137,13 +135,6 @@ void StreamingUnifiedMVSC::CompactWindow() {
   head_ = 0;
 }
 
-std::size_t StreamingUnifiedMVSC::CoveredModelRows() const {
-  if (views_.empty()) return 0;
-  // All model arrays append in lockstep (ExtendRows), so any one of them —
-  // z_cols, with its window-invariant stride s — is the coverage truth.
-  return views_[0].z_cols.size() / options_.unified.anchors.anchor_neighbors;
-}
-
 Status StreamingUnifiedMVSC::SolveWindow(
     const mvsc::UnifiedOptions& solve_options, bool warm, bool polish,
     StreamingUpdateResult* out) {
@@ -164,59 +155,39 @@ Status StreamingUnifiedMVSC::SolveWindow(
     }
     col0 += k;
   }
-  la::Matrix mix;
-  StatusOr<la::Matrix> basis_or =
-      mvsc::JointOrthonormalBasis(concat, c, &mix);
-  if (!basis_or.ok()) return basis_or.status();
-  const la::Matrix basis = std::move(*basis_or);
-
-  // Reduced Laplacians H_v = BᵀB − E_vᵀE_v over the window's Ẑ rows —
-  // exactly the batch path's compression, built from the flat row storage
-  // instead of a freshly assembled CSR. The degree normalization Λ is the
-  // CURRENT window's column masses (recomputed in O(n·s) each update):
-  // frozen solve-time masses would let ‖ẐẐᵀ‖ exceed 1 as the window grows
-  // or shifts, driving H_v indefinite and the alternation into runaway
-  // negative directions.
-  const la::Matrix btb = la::Gram(basis);
-  std::vector<la::CsrMatrix> reduced(num_views);
-  for (std::size_t v = 0; v < num_views; ++v) {
-    const ViewState& view = views_[v];
-    const std::size_t m = view.model.anchors.rows();
-    std::vector<double> inv_sqrt_mass(m, 0.0);
-    for (std::size_t e = head_ * s; e < (head_ + rows_) * s; ++e) {
-      inv_sqrt_mass[view.z_cols[e]] += view.z_vals[e];
-    }
-    for (std::size_t j = 0; j < m; ++j) {
-      inv_sqrt_mass[j] =
-          inv_sqrt_mass[j] > 0.0 ? 1.0 / std::sqrt(inv_sqrt_mass[j]) : 0.0;
-    }
-    std::vector<std::size_t> offsets(rows_ + 1);
-    for (std::size_t i = 0; i <= rows_; ++i) offsets[i] = i * s;
-    std::vector<std::size_t> cols(view.z_cols.begin() + head_ * s,
-                                  view.z_cols.begin() + (head_ + rows_) * s);
-    std::vector<double> vals(rows_ * s);
-    for (std::size_t e = 0; e < rows_ * s; ++e) {
-      vals[e] = view.z_vals[head_ * s + e] * inv_sqrt_mass[cols[e]];
-    }
-    const la::CsrMatrix zhat =
-        la::CsrMatrix::FromParts(rows_, m, std::move(offsets),
-                                 std::move(cols), std::move(vals));
-    const la::Matrix e = zhat.Transposed().Multiply(basis);
-    la::Matrix h = la::Add(btb, la::Gram(e), -1.0);
-    h.Symmetrize();
-    reduced[v] = la::CsrMatrix::FromDense(h);
-  }
-
   // Warm payload: carried F rows are concat·extend_ for EVERY window row
   // (survivors by construction — B·G = concat·mix·G — and fresh rows by the
   // same formula, which is exactly the out-of-sample extension of the
-  // previous solve), projected into the new basis as the Lanczos seed.
+  // previous solve); projected into the new basis below as the Lanczos
+  // seed. Formed first because the builder consumes concat.
+  const bool use_warm = warm && extend_.rows() == p_full && extend_.cols() == c;
+  la::Matrix f_warm;
+  if (use_warm) f_warm = la::MatMul(concat, extend_);
+
+  // Each view's window rows as a CSR, assembled when the shared builder
+  // asks for it; the builder recomputes the degree normalization from them,
+  // so it tracks the LIVE window rather than the solve-time masses.
+  StatusOr<mvsc::ReducedProblem> problem = mvsc::BuildReducedProblem(
+      std::move(concat), num_views,
+      [&](std::size_t v) {
+        const ViewState& view = views_[v];
+        std::vector<std::size_t> offsets(rows_ + 1);
+        for (std::size_t i = 0; i <= rows_; ++i) offsets[i] = i * s;
+        return la::CsrMatrix::FromParts(
+            rows_, view.model.anchors.rows(), std::move(offsets),
+            std::vector<std::size_t>(view.z_cols.begin() + head_ * s,
+                                     view.z_cols.begin() + (head_ + rows_) * s),
+            std::vector<double>(view.z_vals.begin() + head_ * s,
+                                view.z_vals.begin() + (head_ + rows_) * s));
+      },
+      c);
+  if (!problem.ok()) return problem.status();
+
   mvsc::ReducedWarmStart warm_state;
   mvsc::ReducedSolveControls controls;
   controls.polish = polish;
-  if (warm && extend_.rows() == p_full && extend_.cols() == c) {
-    const la::Matrix f_warm = la::MatMul(concat, extend_);
-    warm_state.g = la::MatTMul(basis, f_warm);
+  if (use_warm) {
+    warm_state.g = la::MatTMul(problem->basis, f_warm);
     warm_state.rotation = rotation_;
     warm_state.weight_coefficients = weight_coefficients_;
     controls.warm = &warm_state;
@@ -224,10 +195,10 @@ Status StreamingUnifiedMVSC::SolveWindow(
 
   mvsc::UnifiedResult ures;
   StatusOr<mvsc::ReducedSolveState> state = mvsc::SolveReducedAlternation(
-      reduced, basis, solve_options, controls, &ures);
+      problem->laplacians, problem->basis, solve_options, controls, &ures);
   if (!state.ok()) return state.status();
 
-  extend_ = la::MatMul(mix, state->g);
+  extend_ = la::MatMul(problem->mix, state->g);
   rotation_ = state->rotation;
   weight_coefficients_ = state->weight_coefficients;
   labels_ = std::move(ures.labels);
@@ -246,91 +217,39 @@ Status StreamingUnifiedMVSC::FullResolve(const std::string& reason,
   // Compact so the flat arrays and the matrices built from them share row 0.
   CompactWindow();
 
+  // Re-select anchors and re-fit the standardization from the raw rows
+  // retained in the window: the batch solver's per-view fit, with the
+  // anchor seed advanced per full solve so a re-solve samples fresh anchors.
+  // basis_per_view = 0 resolves against the CURRENT cluster count there, so
+  // a cluster-count change flows into this solve.
   const mvsc::UnifiedOptions& uopts = options_.unified;
-  const std::size_t c = uopts.num_clusters;
-  const std::size_t m = uopts.anchors.num_anchors;
   const std::size_t s = uopts.anchors.anchor_neighbors;
-  // basis_per_view=0 resolves against the CURRENT cluster count, here and
-  // nowhere else — a cluster-count change flows into the next full solve
-  // instead of serving a stale cached dimension.
-  const std::size_t per_view = uopts.anchors.basis_per_view > 0
-                                   ? uopts.anchors.basis_per_view
-                                   : c + 2;
-  const std::size_t k_view = std::min(per_view, m);
-  const bool reselect = options_.reselect_anchors_on_resolve || !model_ready_;
-
-  // Ingest's full path appends raw rows WITHOUT extending the frozen model
-  // (ExtendRows is skipped — a re-selecting re-solve would throw the rows
-  // away). A frozen-anchor re-solve reads the flat z rows back, so bring
-  // the model arrays up to the window first.
-  if (!reselect && CoveredModelRows() < rows_) {
-    ExtendRows(CoveredModelRows());
-  }
-
   for (std::size_t v = 0; v < views_.size(); ++v) {
     ViewState& view = views_[v];
     la::Matrix x(rows_, view.dim);
     std::copy(view.raw.begin(), view.raw.begin() + rows_ * view.dim,
               x.data());
-
-    la::CsrMatrix z;
-    if (reselect) {
-      data::ColumnStandardization(x, &view.model.feature_means,
-                                  &view.model.feature_inv_stds);
-      data::ApplyStandardizationInPlace(x, view.model.feature_means,
-                                        view.model.feature_inv_stds);
-      graph::AnchorOptions aopts;
-      aopts.num_anchors = m;
-      aopts.selection = uopts.anchors.selection;
-      aopts.seed = uopts.seed + 211 * (v + 1) + 10007 * full_resolves_;
-      StatusOr<la::Matrix> anchors = graph::SelectAnchors(x, aopts);
-      if (!anchors.ok()) return anchors.status();
-      view.model.anchors = std::move(*anchors);
-
-      graph::AnchorGraphOptions gopts;
-      gopts.anchor_neighbors = s;
-      gopts.tile_rows = uopts.anchors.tile_rows;
-      StatusOr<la::CsrMatrix> z_or =
-          graph::BuildAnchorAffinity(x, view.model.anchors, gopts);
-      if (!z_or.ok()) return z_or.status();
-      z = std::move(*z_or);
-      for (std::size_t i = 0; i < rows_; ++i) {
-        if (z.row_offsets()[i + 1] - z.row_offsets()[i] != s) {
-          return Status::Internal(
-              "anchor affinity row is not uniformly s-sparse");
-        }
+    const std::uint64_t anchor_seed =
+        uopts.seed + 211 * (v + 1) + 10007 * full_resolves_;
+    StatusOr<mvsc::AnchorViewFit> fit =
+        mvsc::FitAnchorView(std::move(x), uopts, anchor_seed,
+                            /*standardize=*/true, &out->lanczos_matvecs);
+    if (!fit.ok()) return fit.status();
+    const la::CsrMatrix& z = fit->z;
+    for (std::size_t i = 0; i < rows_; ++i) {
+      if (z.row_offsets()[i + 1] - z.row_offsets()[i] != s) {
+        return Status::Internal(
+            "anchor affinity row is not uniformly s-sparse");
       }
-      view.z_cols.assign(z.col_indices().begin(), z.col_indices().end());
-      view.z_vals.assign(z.values().begin(), z.values().end());
-    } else {
-      // Keep the frozen anchors/standardization: rebuild the window CSR
-      // from the stored rows and refresh only the spectral model.
-      std::vector<std::size_t> offsets(rows_ + 1);
-      for (std::size_t i = 0; i <= rows_; ++i) offsets[i] = i * s;
-      z = la::CsrMatrix::FromParts(
-          rows_, m, std::move(offsets),
-          std::vector<std::size_t>(view.z_cols.begin(),
-                                   view.z_cols.begin() + rows_ * s),
-          std::vector<double>(view.z_vals.begin(),
-                              view.z_vals.begin() + rows_ * s));
     }
-
+    view.z_cols.assign(z.col_indices().begin(), z.col_indices().end());
+    view.z_vals.assign(z.values().begin(), z.values().end());
+    // The embedding is anchor_map.cols() wide: the stride every reader of
+    // u uses.
+    view.u.assign(fit->embedding.data(),
+                  fit->embedding.data() + fit->embedding.size());
+    view.model = std::move(fit->model);
     view.anchor_panel = mvsc::assign::PrepareAnchors(view.model.anchors);
-
-    cluster::AnchorEmbeddingOptions eopts;
-    eopts.dims = k_view;
-    eopts.mode = uopts.block_lanczos;
-    eopts.seed = uopts.seed + 17;
-    eopts.matvec_count = &out->lanczos_matvecs;
-    StatusOr<cluster::AnchorEmbeddingResult> emb =
-        cluster::AnchorSpectralEmbedding(z, eopts);
-    if (!emb.ok()) return emb.status();
-    view.model.anchor_map = std::move(emb->anchor_map);
-    // Stride off the artifact (a truncated eigensolve can return fewer
-    // than k_view directions; anchor_map.cols() is always the truth).
-    view.u.assign(
-        emb->embedding.data(),
-        emb->embedding.data() + rows_ * emb->embedding.cols());
   }
 
   UMVSC_RETURN_IF_ERROR(
@@ -361,7 +280,7 @@ Status StreamingUnifiedMVSC::IncrementalUpdate(StreamingUpdateResult* out) {
 
   // Drift detection against the last full solve's baselines: relative
   // growth of the global objective, or of any per-view smoothness, past
-  // its tolerance re-solves from scratch (optionally re-selecting anchors).
+  // its tolerance re-solves from scratch (re-selecting anchors).
   std::string reason;
   const double floor = SmoothnessFloor(options_.unified.num_clusters);
   const double obj_base = std::max(std::fabs(baseline_objective_), floor);

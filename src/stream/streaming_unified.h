@@ -50,12 +50,6 @@ struct StreamingOptions {
   /// view that was near-perfectly smooth cannot fire on noise) re-solves.
   double smoothness_drift_tolerance = 0.60;
 
-  /// Full re-solves re-select anchors (and re-fit the standardization)
-  /// from the raw features retained in the window. When false they keep
-  /// the frozen anchors/standardization and only re-run the spectral
-  /// embedding + cold alternation over the current window.
-  bool reselect_anchors_on_resolve = true;
-
   /// Oracle mode: every Ingest runs a full cold re-solve (no incremental
   /// path at all). This is the reference the drift bench compares
   /// cumulative ARI and latency against.
@@ -89,10 +83,16 @@ struct StreamingUpdateResult {
 /// the SAME reduced-space machinery as the batch anchor path
 /// (mvsc/reduced_solve.h):
 ///
-///   full solve    select anchors + fit standardization from the window's
-///                 raw features, embed (Z_v, anchor_map_v, masses), then the
-///                 cold alternation — identical semantics to
-///                 SolveUnifiedAnchors on the window.
+///   full solve    re-select anchors and re-fit the standardization from
+///                 the window's raw features through the batch solver's
+///                 per-view fit (mvsc::FitAnchorView), build the joint basis
+///                 and reduced Laplacians with its builder
+///                 (mvsc::BuildReducedProblem), then the cold alternation.
+///                 The first full solve of a one-batch window is bitwise
+///                 SolveUnifiedAnchors on that batch (labels, weights,
+///                 objective, matvecs — stream_unified_test
+///                 FirstFullSolveMatchesSolveUnifiedAnchors); later ones
+///                 advance the anchor seed by 10007 per full solve.
 ///   incremental   the per-view model (anchors, standardization,
 ///                 anchor_map) stays FROZEN — the degree normalization is
 ///                 recomputed from the live window; new points extend
@@ -167,17 +167,13 @@ class StreamingUnifiedMVSC {
   /// Erases the dead head_ rows from every flat array and resets head_ to 0.
   /// Each erase is clamped to the array's actual length: on Ingest's full
   /// path the model arrays (z_cols/z_vals/u) lag `raw` by the just-appended
-  /// batch (ExtendRows is skipped there), so head_ rows may exceed what a
-  /// lagging array holds.
+  /// batch (ExtendRows is skipped there — FullResolve refits every row), so
+  /// head_ rows may exceed what a lagging array holds.
   void CompactWindow();
-  /// Rows of the window currently covered by the flat model arrays
-  /// (z_cols/z_vals/u), measured from the front of the storage including
-  /// head_. Equals head_ + rows_ except between a full-path Ingest append
-  /// and the FullResolve that refreshes the model.
-  std::size_t CoveredModelRows() const;
   /// Basis + reduced Laplacians over the current window from the flat
-  /// storage; then one reduced alternation. `warm` enters from the carried
-  /// (G, R, α); `polish` runs the final (Y, R) re-search.
+  /// storage (mvsc::BuildReducedProblem); then one reduced alternation.
+  /// `warm` enters from the carried (G, R, α); `polish` runs the final
+  /// (Y, R) re-search.
   Status SolveWindow(const mvsc::UnifiedOptions& solve_options, bool warm,
                      bool polish, StreamingUpdateResult* out);
   Status FullResolve(const std::string& reason, StreamingUpdateResult* out);

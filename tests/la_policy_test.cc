@@ -4,10 +4,6 @@
 // produce identical partitions. Their floating-point bits may still
 // differ, which is why the rule reads only k and never a timing.
 
-#include <cstdlib>
-#include <optional>
-#include <string>
-
 #include <gtest/gtest.h>
 
 #include "data/synthetic.h"
@@ -18,35 +14,10 @@
 namespace umvsc {
 namespace {
 
-// Sets UMVSC_EIGENSOLVER for one scope and restores whatever the caller
-// had exported (or its absence) on exit, so an A/B value survives the test.
-class ScopedEigensolverEnv {
- public:
-  explicit ScopedEigensolverEnv(const char* value) {
-    if (const char* prior = std::getenv(kName)) prior_ = prior;
-    Set(value);
-  }
-  ~ScopedEigensolverEnv() { Set(prior_ ? prior_->c_str() : nullptr); }
-  ScopedEigensolverEnv(const ScopedEigensolverEnv&) = delete;
-  ScopedEigensolverEnv& operator=(const ScopedEigensolverEnv&) = delete;
-
- private:
-  static constexpr const char* kName = "UMVSC_EIGENSOLVER";
-  static void Set(const char* value) {
-    if (value != nullptr) {
-      setenv(kName, value, 1);
-    } else {
-      unsetenv(kName);
-    }
-  }
-  std::optional<std::string> prior_;
-};
-
 // The rule over a grid that brackets every paper shape, the n = 200 000
 // anchor regime, and (192, 12), where the two solvers' wall times are
 // close enough that a timing-based choice would flip with host load.
 TEST(EigensolveModeTest, AutoIsBlockExactlyWhenKIsAtLeast16) {
-  const ScopedEigensolverEnv no_env(nullptr);
   for (const std::size_t n : {50u, 192u, 400u, 2000u, 200000u}) {
     for (const std::size_t k : {1u, 2u, 12u, 15u, 16u, 40u}) {
       const la::EigensolveMode expected = k >= 16
@@ -75,32 +46,6 @@ TEST(EigensolveModeTest, ExplicitRequestWins) {
   EXPECT_EQ(
       la::ResolveEigensolveMode(la::EigensolveMode::kForceSingle, 400, 40),
       la::EigensolveMode::kForceSingle);
-}
-
-TEST(EigensolveModeTest, ScopedOverrideBeatsExplicitRequest) {
-  {
-    la::ScopedEigensolveMode scope(la::EigensolveMode::kForceSingle);
-    EXPECT_EQ(la::ResolveEigensolveMode(la::EigensolveMode::kForceBlock, 400,
-                                        40),
-              la::EigensolveMode::kForceSingle);
-  }
-  // The override dies with the scope.
-  EXPECT_EQ(la::ResolveEigensolveMode(la::EigensolveMode::kForceBlock, 400,
-                                      40),
-            la::EigensolveMode::kForceBlock);
-}
-
-TEST(EigensolveModeTest, EnvironmentVariableBeatsPolicy) {
-  {
-    const ScopedEigensolverEnv env("block");
-    EXPECT_EQ(la::ResolveEigensolveMode(la::EigensolveMode::kAuto, 100, 1),
-              la::EigensolveMode::kForceBlock);
-  }
-  {
-    const ScopedEigensolverEnv env("single");
-    EXPECT_EQ(la::ResolveEigensolveMode(la::EigensolveMode::kAuto, 400, 40),
-              la::EigensolveMode::kForceSingle);
-  }
 }
 
 TEST(EigensolveModeTest, AutoDispatchMatchesForcedPathBitwise) {

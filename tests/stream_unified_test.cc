@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "common/parallel.h"
 #include "data/synthetic.h"
 #include "eval/metrics.h"
+#include "mvsc/anchor_unified.h"
 #include "stream/streaming_unified.h"
 
 namespace umvsc::stream {
@@ -212,45 +214,51 @@ TEST(StreamingUnifiedTest, SetNumClustersReResolvesDerivedDims) {
   EXPECT_FALSE(stream->SetNumClusters(1).ok());
 }
 
-TEST(StreamingUnifiedTest, FrozenAnchorOracleResolvesEveryBatch) {
-  // Regression: Ingest's full path (oracle mode) skips ExtendRows, so the
-  // flat model arrays lag the raw rows by the just-appended batch. A
-  // frozen-anchor re-solve (reselect_anchors_on_resolve = false) reads
-  // those rows back and used to run past the end of z_cols/z_vals — it
-  // must first extend the frozen model over the missing suffix.
-  auto gen = data::DriftStreamGenerator::Create(StreamConfig());
-  ASSERT_TRUE(gen.ok());
-  StreamingOptions options = BaseOptions();
-  options.always_full_resolve = true;
-  options.reselect_anchors_on_resolve = false;
-  auto stream = StreamingUnifiedMVSC::Create(options);
-  ASSERT_TRUE(stream.ok());
-  std::vector<std::size_t> truth;
-  for (std::size_t t = 0; t < 5; ++t) {
-    auto batch = gen->NextBatch();
-    ASSERT_TRUE(batch.ok());
-    truth.insert(truth.end(), batch->labels.begin(), batch->labels.end());
-    if (truth.size() > options.window_capacity) {
-      truth.erase(truth.begin(), truth.end() - static_cast<std::ptrdiff_t>(
-                                                   options.window_capacity));
+TEST(StreamingUnifiedTest, FirstFullSolveMatchesSolveUnifiedAnchors) {
+  // The stream's full solve is the batch anchor solver run on the window:
+  // the same per-view fit (mvsc::FitAnchorView), the same reduced-problem
+  // builder (mvsc::BuildReducedProblem) and the same cold alternation. On a
+  // window holding exactly one batch the two must agree bit for bit, at
+  // every thread count.
+  data::DriftStreamConfig config = StreamConfig();
+  config.batch_size = 600;  // = window_capacity: one batch fills the window
+  for (const std::size_t threads : {1u, 8u}) {
+    ScopedNumThreads scoped(threads);
+    for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+      config.seed = 40 + seed;
+      StreamingOptions options = BaseOptions();
+      options.unified.seed = seed;
+      auto gen = data::DriftStreamGenerator::Create(config);
+      ASSERT_TRUE(gen.ok());
+      auto batch = gen->NextBatch();
+      ASSERT_TRUE(batch.ok());
+      auto stream = StreamingUnifiedMVSC::Create(options);
+      ASSERT_TRUE(stream.ok());
+      auto update = stream->Ingest(*batch);
+      ASSERT_TRUE(update.ok()) << update.status().ToString();
+      ASSERT_TRUE(update->full_resolve);
+      auto solved = mvsc::SolveUnifiedAnchors(*batch, options.unified,
+                                              /*standardize=*/true);
+      ASSERT_TRUE(solved.ok()) << solved.status().ToString();
+      const mvsc::UnifiedResult& want = solved->result;
+      EXPECT_EQ(update->labels, want.labels)
+          << "threads " << threads << " seed " << seed;
+      EXPECT_EQ(update->view_weights, want.view_weights)
+          << "threads " << threads << " seed " << seed;
+      ASSERT_FALSE(want.objective_trace.empty());
+      EXPECT_EQ(update->objective, want.objective_trace.back())
+          << "threads " << threads << " seed " << seed;
+      EXPECT_EQ(update->lanczos_matvecs, want.lanczos_matvecs)
+          << "threads " << threads << " seed " << seed;
     }
-    auto update = stream->Ingest(*batch);
-    ASSERT_TRUE(update.ok()) << update.status().ToString();
-    EXPECT_TRUE(update->full_resolve) << "batch " << t;
-    ASSERT_EQ(update->labels.size(), truth.size());
-    auto acc = eval::ClusteringAccuracy(update->labels, truth);
-    ASSERT_TRUE(acc.ok());
-    EXPECT_GT(*acc, 0.9) << "batch " << t;
   }
-  EXPECT_EQ(stream->full_resolves(), 5u);
-  EXPECT_EQ(stream->incremental_updates(), 0u);
 }
 
-TEST(StreamingUnifiedTest, FrozenAnchorResolveSurvivesOversizedBatch) {
-  // Regression: a batch larger than the window on the full path leaves the
-  // model arrays with FEWER than head_ rows at compaction time — the erase
-  // must clamp to each array's length (it used to erase past the end), and
-  // the frozen-anchor re-solve must rebuild the lost coverage from raw.
+TEST(StreamingUnifiedTest, OversizedBatchOnFullPathClampsCompaction) {
+  // Regression: Ingest's full path skips ExtendRows (the full solve refits
+  // every row), so a batch larger than the window leaves the model arrays
+  // with FEWER than head_ rows at compaction time — the erase must clamp to
+  // each array's length (it used to erase past the end).
   data::DriftStreamConfig config = StreamConfig();
   config.batch_size = 500;
   auto gen = data::DriftStreamGenerator::Create(config);
@@ -258,7 +266,6 @@ TEST(StreamingUnifiedTest, FrozenAnchorResolveSurvivesOversizedBatch) {
   StreamingOptions options = BaseOptions();
   options.window_capacity = 200;  // every batch overflows the window alone
   options.always_full_resolve = true;
-  options.reselect_anchors_on_resolve = false;
   auto stream = StreamingUnifiedMVSC::Create(options);
   ASSERT_TRUE(stream.ok());
   for (std::size_t t = 0; t < 3; ++t) {
@@ -266,6 +273,7 @@ TEST(StreamingUnifiedTest, FrozenAnchorResolveSurvivesOversizedBatch) {
     ASSERT_TRUE(batch.ok());
     auto update = stream->Ingest(*batch);
     ASSERT_TRUE(update.ok()) << update.status().ToString();
+    EXPECT_TRUE(update->full_resolve) << "batch " << t;
     EXPECT_EQ(update->window_size, 200u);
     EXPECT_EQ(update->evicted, t == 0 ? 300u : 500u);
     ASSERT_EQ(update->labels.size(), 200u);
@@ -275,35 +283,7 @@ TEST(StreamingUnifiedTest, FrozenAnchorResolveSurvivesOversizedBatch) {
     ASSERT_TRUE(acc.ok());
     EXPECT_GT(*acc, 0.9) << "batch " << t;
   }
-}
-
-TEST(StreamingUnifiedTest, SetNumClustersWorksWithFrozenAnchors) {
-  // Regression: the pending re-solve a SetNumClusters schedules also takes
-  // Ingest's full path (no ExtendRows); with frozen anchors it must extend
-  // the model over the batch that carried the pending flag before reading
-  // the flat rows back.
-  auto gen = data::DriftStreamGenerator::Create(StreamConfig());
-  ASSERT_TRUE(gen.ok());
-  StreamingOptions options = BaseOptions();
-  options.reselect_anchors_on_resolve = false;
-  auto stream = StreamingUnifiedMVSC::Create(options);
-  ASSERT_TRUE(stream.ok());
-  auto batch = gen->NextBatch();
-  ASSERT_TRUE(batch.ok());
-  ASSERT_TRUE(stream->Ingest(*batch).ok());
-  EXPECT_EQ(stream->view_basis_dims(0), 5u);
-
-  ASSERT_TRUE(stream->SetNumClusters(4).ok());
-  auto batch2 = gen->NextBatch();
-  ASSERT_TRUE(batch2.ok());
-  auto update = stream->Ingest(*batch2);
-  ASSERT_TRUE(update.ok()) << update.status().ToString();
-  EXPECT_TRUE(update->full_resolve);
-  EXPECT_EQ(update->resolve_reason, "cluster-count-change");
-  EXPECT_EQ(update->window_size, 300u);
-  ASSERT_EQ(update->labels.size(), 300u);
-  EXPECT_EQ(stream->view_basis_dims(0), 6u);
-  for (std::size_t label : update->labels) EXPECT_LT(label, 4u);
+  EXPECT_EQ(stream->full_resolves(), 3u);
 }
 
 TEST(StreamingUnifiedTest, RejectsSchemaDrift) {
