@@ -74,23 +74,13 @@ StatusOr<AnchorUnifiedResult> SolveUnifiedAnchors(
   const std::size_t c = options.num_clusters;
   const std::size_t m = options.anchors.num_anchors;
   const std::size_t s = options.anchors.anchor_neighbors;
-  if (c < 2 || c >= n) {
+  UMVSC_RETURN_IF_ERROR(ValidateUnifiedOptions(options, /*anchored=*/true));
+  if (c >= n) {
     return Status::InvalidArgument("UnifiedMVSC requires 2 <= c < n");
   }
-  if (m < 2 || m >= n) {
+  if (m >= n) {
     return Status::InvalidArgument(
         "anchor mode requires 2 <= num_anchors < n");
-  }
-  if (s < 1 || s > m) {
-    return Status::InvalidArgument(
-        "anchor mode requires 1 <= anchor_neighbors <= num_anchors");
-  }
-  if (options.beta < 0.0) {
-    return Status::InvalidArgument("beta must be nonnegative");
-  }
-  if (options.weighting == ViewWeighting::kGammaPower &&
-      options.gamma <= 1.0) {
-    return Status::InvalidArgument("gamma-power weighting requires gamma > 1");
   }
 
   AnchorUnifiedResult out;
@@ -129,12 +119,12 @@ StatusOr<AnchorUnifiedResult> SolveUnifiedAnchors(
       [&](std::size_t v) { return std::move(z[v]); }, c);
   if (!problem.ok()) return problem.status();
 
-  // --- From here the solve IS unified.cc's, with F = B·G: the same floors,
-  // warm-started init alternations, and G/R/Y/α blocks run on the p × p
-  // reduced Laplacians; only the Y-step reconstructs n rows (row-argmax of
-  // B·G·R) because labels are an n-point object. The alternation itself is
-  // shared with the streaming updater (reduced_solve.h); this batch path
-  // enters cold — discretize-init plus final polish.
+  // --- From here the solve is the exact path's alternation driver with
+  // F = B·G: floors, warm-started init alternations and the G/R/Y/α blocks
+  // run on the p × p reduced Laplacians; only the Y-step reconstructs n rows
+  // (row-argmax of B·G·R) because labels are an n-point object. The stream
+  // enters the same driver warm (reduced_solve.h); this batch path enters
+  // cold — discretize-init plus final polish.
   ReducedSolveControls controls;  // defaults: cold entry, polish on
   StatusOr<ReducedSolveState> state = SolveReducedAlternation(
       problem->laplacians, problem->basis, options, controls, &out.result);

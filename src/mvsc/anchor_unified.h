@@ -94,11 +94,10 @@ struct AnchorUnifiedResult {
 ///   BᵀB − (Ẑ_vᵀB)ᵀ(Ẑ_vᵀB), p × p with spectrum in [0, 2] — computed in
 ///   O(n·s·p) without forming L_v
 ///
-/// then the EXACT solver loop of unified.cc restricted to F = B·G: spectral
-/// floors, warm-started init alternations, and the alternating G/R/Y/α
-/// updates all operate on the p × p reduced Laplacians (same eigensolve
-/// dispatchers, same GPI, same α closed form — the blocks of
-/// unified_internal.h). Reconstruction to n rows happens ONLY at
+/// then the exact path's alternation driver restricted to F = B·G (one
+/// driver serves both, reduced_solve.h): spectral floors, warm-started init
+/// alternations, and the alternating G/R/Y/α updates all operate on the
+/// p × p reduced Laplacians. Reconstruction to n rows happens ONLY at
 /// label-assignment time (the Y-step's row-argmax of B·G·R and the final
 /// embedding/indicator), keeping the per-iteration cost O(n·p·c + p²·c)
 /// and the whole solve O(n·(m·d + s² + p·c)) — near-linear in n.

@@ -11,6 +11,7 @@
 #include "la/ops.h"
 #include "la/svd.h"
 #include "la/sym_eigen.h"
+#include "mvsc/graphs.h"
 #include "mvsc/unified_internal.h"
 
 namespace umvsc::mvsc {
@@ -91,21 +92,25 @@ StatusOr<ReducedProblem> BuildReducedProblem(
   return out;
 }
 
-StatusOr<ReducedSolveState> SolveReducedAlternation(
-    const std::vector<la::CsrMatrix>& reduced, const la::Matrix& basis,
-    const UnifiedOptions& options, const ReducedSolveControls& controls,
-    UnifiedResult* result) {
+namespace internal {
+
+Status SolveAlternation(const std::vector<la::CsrMatrix>& laplacians,
+                        const la::Matrix* basis, const UnifiedOptions& options,
+                        const ReducedSolveControls& controls,
+                        UnifiedResult* result, ReducedSolveState* state) {
   UMVSC_CHECK(result != nullptr, "result sink is required");
-  const std::size_t num_views = reduced.size();
+  const std::size_t num_views = laplacians.size();
   const std::size_t c = options.num_clusters;
-  const std::size_t p = basis.cols();
   if (num_views == 0) {
-    return Status::InvalidArgument("reduced solve needs at least one view");
+    return Status::InvalidArgument("the alternation needs at least one view");
   }
-  for (const la::CsrMatrix& h : reduced) {
+  // p: the dimension G lives in — the basis width, or n on the exact path.
+  const std::size_t p =
+      basis != nullptr ? basis->cols() : laplacians[0].rows();
+  for (const la::CsrMatrix& h : laplacians) {
     if (h.rows() != p || h.cols() != p) {
       return Status::InvalidArgument(
-          "reduced Laplacian shape does not match the basis");
+          "view Laplacian shape does not match the basis");
     }
   }
   if (p < c) {
@@ -120,8 +125,8 @@ StatusOr<ReducedSolveState> SolveReducedAlternation(
   std::vector<double> floors(num_views, 0.0);
   if (options.smoothness == SmoothnessNormalization::kExcess) {
     StatusOr<std::vector<double>> spectral =
-        internal::SpectralFloors(reduced, c, lanczos, options.block_lanczos,
-                                 &result->lanczos_matvecs);
+        SpectralFloors(laplacians, c, lanczos, options.block_lanczos,
+                       &result->lanczos_matvecs);
     if (!spectral.ok()) return spectral.status();
     floors = std::move(*spectral);
   }
@@ -138,7 +143,12 @@ StatusOr<ReducedSolveState> SolveReducedAlternation(
   const bool warm_weights =
       warm != nullptr && warm->weight_coefficients.size() == num_views;
 
-  internal::Weights weights;
+  // --- Initialization: a few weight↔embedding alternations (fresh
+  // eigensolves, no discrete coupling). A single embedding of the uniform
+  // average is fragile — one adversarial view can wreck it, and the Y↔G
+  // alternation below would then lock onto the bad partition. The
+  // alternations let the auto-weighting suppress such views first.
+  Weights weights;
   if (warm_weights) {
     weights.coefficients = warm->weight_coefficients;
   } else {
@@ -147,23 +157,30 @@ StatusOr<ReducedSolveState> SolveReducedAlternation(
   }
   la::Matrix g;
   if (warm_g) g = warm->g;
-  const la::CsrCombiner combiner = la::CsrCombiner::Plan(reduced);
+  // The Laplacians are fixed for the whole solve, so the union sparsity
+  // pattern of their weighted combinations is too: plan it once, and every
+  // alternation/iteration below refreshes values only.
+  const la::CsrCombiner combiner = la::CsrCombiner::Plan(laplacians);
   const std::size_t warmups =
       std::max<std::size_t>(1, options.init_alternations);
   for (std::size_t iter = 0; iter < warmups; ++iter) {
-    la::CsrMatrix combined = combiner.Combine(reduced, weights.coefficients);
+    la::CsrMatrix combined = combiner.Combine(laplacians, weights.coefficients);
+    // Incomplete views' zero rows need this; it would move H_v's eigenvectors.
+    if (basis == nullptr) combined = MassNormalizedCombination(combined);
     la::LanczosOptions warm_lanczos = lanczos;
     warm_lanczos.matvec_count = &result->lanczos_matvecs;
     if (options.warm_start && g.rows() == p && g.cols() == c) {
+      // Seed from the previous alternation's embedding: the combined
+      // Laplacian moved only as far as the view weights did.
       warm_lanczos.warm_start = &g;
     }
-    StatusOr<la::SymEigenResult> init_eig = internal::SmallestEigenpairsSparse(
+    StatusOr<la::SymEigenResult> init_eig = la::LanczosSmallestAuto(
         combined, c, cluster::GershgorinUpperBound(combined) + 1e-9,
         warm_lanczos, options.block_lanczos);
     if (!init_eig.ok()) return init_eig.status();
     g = std::move(init_eig->eigenvectors);
-    const std::vector<double> h = internal::ViewSmoothness(reduced, g, floors);
-    weights = internal::UpdateWeights(h, options.weighting, options.gamma);
+    const std::vector<double> h = ViewSmoothness(laplacians, g, floors);
+    weights = UpdateWeights(h, options.weighting, options.gamma);
     double smoothness = 0.0;
     for (std::size_t v = 0; v < num_views; ++v) {
       smoothness += weights.coefficients[v] * h[v];
@@ -171,20 +188,21 @@ StatusOr<ReducedSolveState> SolveReducedAlternation(
     result->warmup_trace.push_back(smoothness);
   }
 
-  // Objective of the reduced iterate — identical in VALUE to the exact
-  // path's UnifiedObjective at F = B·G (the traces agree because
-  // Tr(FᵀL_vF) = Tr(GᵀH_vG); the residual is evaluated on the
-  // reconstructed rows exactly).
-  auto objective = [&](const la::Matrix& g_cur, const la::Matrix& rot,
-                       const la::Matrix& y_hat_cur,
-                       const la::Matrix& f_full_cur) {
+  // F = B·G, the n × c embedding the Y-step discretizes, reconstructed into
+  // f_rows after every G-step; without a basis F is G itself.
+  la::Matrix f_rows;
+  if (basis != nullptr) f_rows = la::MatMul(*basis, g);
+  const la::Matrix& f = basis != nullptr ? f_rows : g;
+
+  // Objective of the current iterate. On the reduced path the traces
+  // Tr(GᵀH_vG) equal Tr(FᵀL_vF); the residual is evaluated on the n rows.
+  auto objective = [&](const la::Matrix& rot, const la::Matrix& y_hat_cur) {
     const double residual =
-        la::Add(y_hat_cur, la::MatMul(f_full_cur, rot), -1.0).FrobeniusNorm();
-    return internal::ObjectiveFromResidual(reduced, weights.coefficients,
-                                           options.beta, g_cur, residual);
+        la::Add(y_hat_cur, la::MatMul(f, rot), -1.0).FrobeniusNorm();
+    return ObjectiveFromResidual(laplacians, weights.coefficients,
+                                 options.beta, g, residual);
   };
 
-  la::Matrix f_full = la::MatMul(basis, g);  // n × c reconstruction
   la::Matrix rotation;
   std::vector<std::size_t> labels;
   std::vector<std::size_t> counts(c);  // Y-step cluster sizes
@@ -194,16 +212,15 @@ StatusOr<ReducedSolveState> SolveReducedAlternation(
     // solve's fixed point — the indicator falls straight out of a row-argmax
     // pass, no restart search. Ŷ overwrites F·R in place.
     rotation = warm->rotation;
-    y_hat = la::MatMul(f_full, rotation);
-    internal::DiscretizeStep(y_hat, options.scale_indicator, labels, counts,
-                             y_hat);
+    y_hat = la::MatMul(f, rotation);
+    DiscretizeStep(y_hat, options.scale_indicator, labels, counts, y_hat);
   } else {
     cluster::RotationOptions rot_init;
     rot_init.seed = options.seed + 31;
     rot_init.restarts = 8;
     rot_init.scale_indicator = options.scale_indicator;
     StatusOr<cluster::RotationResult> init_disc =
-        cluster::DiscretizeEmbedding(f_full, rot_init);
+        cluster::DiscretizeEmbedding(f, rot_init);
     if (!init_disc.ok()) return init_disc.status();
     rotation = std::move(init_disc->rotation);
     labels = std::move(init_disc->labels);
@@ -212,18 +229,22 @@ StatusOr<ReducedSolveState> SolveReducedAlternation(
                 : std::move(init_disc->indicator);
   }
   // Reduced image P = BᵀŶ (p × c): the ONLY coupling the G- and R-steps
-  // need from the n-row indicator.
-  la::Matrix p_red = la::MatTMul(basis, y_hat);
+  // need from the n-row indicator; without a basis P is Ŷ itself.
+  la::Matrix p_rows;
+  if (basis != nullptr) p_rows = la::MatTMul(*basis, y_hat);
+  const la::Matrix& p_red = basis != nullptr ? p_rows : y_hat;
 
-  // Per-iteration temporaries, shaped once, as on the exact path.
-  la::Matrix b(p, c);                // G-step right-hand side β·P·Rᵀ
-  la::Matrix ctc(c, c);              // R-step Procrustes input GᵀP
-  la::Matrix fr(f_full.rows(), c);   // Y-step rotated embedding F·R
+  // Per-iteration temporaries, shaped once: the Into-style producers
+  // overwrite them every iteration.
+  la::Matrix b(p, c);          // G-step right-hand side β·P·Rᵀ
+  la::Matrix ctc(c, c);        // R-step Procrustes input GᵀP
+  la::Matrix fr(f.rows(), c);  // Y-step rotated embedding F·R
   double prev_obj = std::numeric_limits<double>::infinity();
   for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
-    // --- G-step: min Tr(GᵀHG) − 2β·Tr(Gᵀ P Rᵀ) on the p-dim Stiefel
-    // manifold — the F-step compressed through F = B·G.
-    la::CsrMatrix a = combiner.Combine(reduced, weights.coefficients);
+    // --- G-step: min Tr(GᵀAG) − 2β·Tr(Gᵀ P Rᵀ) on the p-dim Stiefel
+    // manifold — the F-step, compressed through F = B·G when there is a
+    // basis. Warm-started from the incumbent G.
+    la::CsrMatrix a = combiner.Combine(laplacians, weights.coefficients);
     la::MatMulTInto(p_red, rotation, b);
     b.Scale(options.beta);
     cluster::GpiOptions gpi;
@@ -239,22 +260,21 @@ StatusOr<ReducedSolveState> SolveReducedAlternation(
     if (!rstep.ok()) return rstep.status();
     rotation = std::move(*rstep);
 
-    // --- Y-step: the one reconstruction per iteration — labels are an
-    // n-point object, so the row-argmax of F·R = B·(G·R) must see n rows.
-    // The same F·R yields the objective's residual.
-    la::MatMulInto(basis, g, f_full);
-    la::MatMulInto(f_full, rotation, fr);
-    const double residual = internal::DiscretizeStep(
-        fr, options.scale_indicator, labels, counts, y_hat);
-    la::MatTMulInto(basis, y_hat, p_red);
+    // --- Y-step: labels are an n-point object, so the row-argmax of F·R
+    // must see n rows — the one reconstruction per iteration on the
+    // reduced path. The same F·R yields the objective's residual.
+    if (basis != nullptr) la::MatMulInto(*basis, g, f_rows);
+    la::MatMulInto(f, rotation, fr);
+    const double residual = DiscretizeStep(fr, options.scale_indicator,
+                                           labels, counts, y_hat);
+    if (basis != nullptr) la::MatTMulInto(*basis, y_hat, p_rows);
 
-    // --- α-step: closed form on the reduced traces.
-    weights = internal::UpdateWeights(
-        internal::ViewSmoothness(reduced, g, floors), options.weighting,
-        options.gamma);
+    // --- α-step: closed form from the fresh smoothness values.
+    weights = UpdateWeights(ViewSmoothness(laplacians, g, floors),
+                            options.weighting, options.gamma);
 
-    const double obj = internal::ObjectiveFromResidual(
-        reduced, weights.coefficients, options.beta, g, residual);
+    const double obj = ObjectiveFromResidual(
+        laplacians, weights.coefficients, options.beta, g, residual);
     result->objective_trace.push_back(obj);
     result->iterations = iter + 1;
     if (iter > 0 &&
@@ -267,22 +287,22 @@ StatusOr<ReducedSolveState> SolveReducedAlternation(
   }
 
   if (controls.polish) {
-    // Final polish, as on the exact path: re-search (Y, R) for the
-    // converged embedding with fresh restarts, accepted only on objective
-    // improvement.
+    // Final polish: re-search (Y, R) for the converged F with fresh
+    // rotation restarts — the alternation only ever refined the incumbent
+    // rotation, and a restarted search occasionally finds a strictly better
+    // discretization. Accepted only when the full objective improves.
     cluster::RotationOptions rot_final;
     rot_final.seed = options.seed + 97;
     rot_final.restarts = 8;
     rot_final.scale_indicator = options.scale_indicator;
     StatusOr<cluster::RotationResult> polished =
-        cluster::DiscretizeEmbedding(f_full, rot_final);
+        cluster::DiscretizeEmbedding(f, rot_final);
     if (polished.ok()) {
       la::Matrix polished_y_hat =
           options.scale_indicator ? cluster::ScaledIndicator(polished->indicator)
                                   : polished->indicator;
-      const double incumbent = objective(g, rotation, y_hat, f_full);
-      const double candidate =
-          objective(g, polished->rotation, polished_y_hat, f_full);
+      const double incumbent = objective(rotation, y_hat);
+      const double candidate = objective(polished->rotation, polished_y_hat);
       if (candidate < incumbent) {
         rotation = std::move(polished->rotation);
         labels = std::move(polished->labels);
@@ -291,18 +311,31 @@ StatusOr<ReducedSolveState> SolveReducedAlternation(
     }
   }
 
-  ReducedSolveState state;
-  state.objective = objective(g, rotation, y_hat, f_full);
-  state.smoothness = internal::ViewSmoothness(reduced, g, floors);
-  state.g = g;
-  state.rotation = rotation;
-  state.weight_coefficients = weights.coefficients;
+  if (state != nullptr) {
+    state->objective = objective(rotation, y_hat);
+    state->smoothness = ViewSmoothness(laplacians, g, floors);
+    state->g = g;
+    state->rotation = rotation;
+    state->weight_coefficients = weights.coefficients;
+  }
 
   result->indicator = cluster::LabelsToIndicator(labels, c);
   result->labels = std::move(labels);
-  result->embedding = std::move(f_full);
+  result->embedding = basis != nullptr ? std::move(f_rows) : std::move(g);
   result->rotation = std::move(rotation);
-  result->view_weights = weights.alpha;
+  result->view_weights = std::move(weights.alpha);
+  return Status::OK();
+}
+
+}  // namespace internal
+
+StatusOr<ReducedSolveState> SolveReducedAlternation(
+    const std::vector<la::CsrMatrix>& reduced, const la::Matrix& basis,
+    const UnifiedOptions& options, const ReducedSolveControls& controls,
+    UnifiedResult* result) {
+  ReducedSolveState state;
+  UMVSC_RETURN_IF_ERROR(internal::SolveAlternation(reduced, &basis, options,
+                                                   controls, result, &state));
   return state;
 }
 

@@ -15,10 +15,12 @@ namespace umvsc::mvsc {
 /// The reduced-space alternation shared by the batch anchor solver
 /// (anchor_unified.cc) and the streaming updater (stream/). Both operate on
 /// the SAME object — per-view reduced Laplacians H_v = BᵀL_vB (p × p CSR)
-/// over an orthonormal basis B (n × p) with F = B·G — and must keep
-/// identical update semantics; only how they ENTER the alternation differs
-/// (cold discretize-init + polish vs. warm-started from carried state), so
-/// the solve lives here once and the entry is a control knob.
+/// over an orthonormal basis B (n × p) with F = B·G; only how they ENTER
+/// the alternation differs (cold discretize-init + polish vs. warm-started
+/// from carried state), so the entry is a control knob. The alternation
+/// itself is the solver's one G/R/Y/α driver (internal::SolveAlternation,
+/// unified_internal.h), which the exact UnifiedMVSC::Run(graphs) also runs
+/// — with no basis, F = G.
 
 /// Joint orthonormal basis B = concat·mix over concatenated per-view
 /// embeddings [U_1 | … | U_V]: mix = W·S^{−1/2} from the Gram
@@ -104,8 +106,9 @@ struct ReducedSolveState {
 };
 
 /// Runs spectral floors (kExcess) → init alternations → G/R/Y/α loop →
-/// optional polish. Appends traces and matvec counts to `result` and fills
-/// its labels / indicator / embedding / rotation / view_weights. `basis`
+/// optional polish: internal::SolveAlternation with `basis` set. Appends
+/// traces and matvec counts to `result` and fills its labels / indicator /
+/// embedding / rotation / view_weights. `basis`
 /// must have orthonormal columns (BᵀB ≈ I) and as many columns as each H_v
 /// has rows. Bitwise deterministic across thread counts for fixed options.
 StatusOr<ReducedSolveState> SolveReducedAlternation(

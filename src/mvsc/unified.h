@@ -132,7 +132,9 @@ struct UnifiedResult {
 ///
 /// solved by four-block alternating minimization (GPI F-step, Procrustes
 /// R-step, row-argmax Y-step, closed-form α-step). See DESIGN.md for the
-/// derivation and provenance of each block.
+/// derivation and provenance of each block. The exact and the anchor path
+/// run the same alternation driver (mvsc/reduced_solve.h); the exact one
+/// without a basis, F = G.
 class UnifiedMVSC {
  public:
   explicit UnifiedMVSC(UnifiedOptions options) : options_(options) {}
@@ -160,13 +162,13 @@ class UnifiedMVSC {
   UnifiedOptions options_;
 };
 
-/// The solver's objective value for a given state — exposed for tests of
-/// the monotone-descent property and for the convergence-figure bench.
-double UnifiedObjective(const std::vector<la::CsrMatrix>& laplacians,
-                        const std::vector<double>& weight_coefficients,
-                        double beta, const la::Matrix& f,
-                        const la::Matrix& rotation,
-                        const la::Matrix& indicator_scaled);
+/// Checks the solver options every unified entry point shares — c ≥ 2,
+/// β ≥ 0, γ > 1 under kGammaPower — and, when `anchored`, the anchor
+/// counts 2 ≤ num_anchors and 1 ≤ anchor_neighbors ≤ num_anchors. Bounds
+/// that need the sample count (c < n, num_anchors < n) stay with the
+/// callers that know it. Run(graphs), SolveUnifiedAnchors and the
+/// streaming solver (Create, SetNumClusters) all call it.
+Status ValidateUnifiedOptions(const UnifiedOptions& options, bool anchored);
 
 }  // namespace umvsc::mvsc
 

@@ -8,27 +8,37 @@
 #include "la/lanczos.h"
 #include "la/matrix.h"
 #include "la/sparse.h"
+#include "mvsc/reduced_solve.h"
 #include "mvsc/unified.h"
 
 namespace umvsc::mvsc::internal {
 
-/// Shared building blocks of the unified solver, used by BOTH the exact
-/// n-row path (unified.cc) and the reduced anchor path (reduced_solve.cc).
-/// The two paths must keep identical update semantics — α-step, floors,
-/// discretization repair — so the blocks live here instead of being
-/// duplicated. Nothing outside mvsc/ should include this header.
+/// The unified solver's alternation driver and its building blocks. One
+/// driver (SolveAlternation, reduced_solve.cc) runs the G/R/Y/α loop for
+/// the exact n-row path (UnifiedMVSC::Run(graphs), no basis: F = G) and
+/// for the reduced anchor path (SolveReducedAlternation, F = B·G); the
+/// blocks below are its α-step, floors, discretization repair and
+/// objective. Nothing outside mvsc/ should include this header.
+
+/// The one G/R/Y/α alternation: spectral floors (kExcess) → init
+/// alternations → discretize-init (or the warm rotation) → loop → optional
+/// polish, with SolveReducedAlternation's contract. `basis` null is the
+/// exact path: `laplacians` are the n × n L_v themselves, F = G and the
+/// reduced image P = BᵀŶ is Ŷ (aliases, no copies); the warm-up
+/// eigensolves then run on MassNormalizedCombination, which incomplete
+/// views need. Otherwise `basis` is the n × p B of the reduced problem.
+/// `state` may be null (the exact path reads only `result`), which skips
+/// the final objective and smoothness evaluation.
+Status SolveAlternation(const std::vector<la::CsrMatrix>& laplacians,
+                        const la::Matrix* basis, const UnifiedOptions& options,
+                        const ReducedSolveControls& controls,
+                        UnifiedResult* result, ReducedSolveState* state);
 
 /// Per-view smoothness h_v = Tr(Fᵀ L_v F) − offsets[v], floored away from
 /// zero. View-parallel with write-disjoint slots; bitwise deterministic.
 std::vector<double> ViewSmoothness(const std::vector<la::CsrMatrix>& laplacians,
                                    const la::Matrix& f,
                                    const std::vector<double>& offsets);
-
-/// Smallest-eigenpairs dispatch: `mode` when forced, else the static shape
-/// rule of la::ResolveEigensolveMode (block iff c ≥ 16).
-StatusOr<la::SymEigenResult> SmallestEigenpairsSparse(
-    const la::CsrMatrix& lap, std::size_t c, double spectral_bound,
-    const la::LanczosOptions& options, la::EigensolveMode mode);
 
 /// ĉ_v per view: the sum of the c smallest eigenvalues of L_v. Requires
 /// every L_v spectrum within [0, 2] (normalized Laplacians and their
@@ -67,9 +77,9 @@ double DiscretizeStep(const la::Matrix& fr, bool scale_indicator,
 
 /// The unified objective Σ_v coefficients[v]·Tr(FᵀL_vF) + β·residual²,
 /// given the discretization residual ‖Ŷ − F·R‖_F. The per-view traces fan
-/// out; the weighted sum runs serially in view order. Both paths use it: on
-/// the reduced path F is the p × c G and L_v the reduced H_v, whose traces
-/// equal the n-row ones.
+/// out; the weighted sum runs serially in view order. On the reduced path F
+/// is the p × c G and L_v the reduced H_v, whose traces equal the n-row
+/// ones.
 double ObjectiveFromResidual(const std::vector<la::CsrMatrix>& laplacians,
                              const std::vector<double>& weight_coefficients,
                              double beta, const la::Matrix& f,

@@ -30,9 +30,8 @@ StatusOr<StreamingUnifiedMVSC> StreamingUnifiedMVSC::Create(
   if (options.window_capacity < 2) {
     return Status::InvalidArgument("window_capacity must be at least 2");
   }
-  if (options.unified.num_clusters < 2) {
-    return Status::InvalidArgument("streaming requires num_clusters >= 2");
-  }
+  UMVSC_RETURN_IF_ERROR(
+      mvsc::ValidateUnifiedOptions(options.unified, /*anchored=*/true));
   if (options.update_max_iterations < 1) {
     return Status::InvalidArgument("update_max_iterations must be positive");
   }
@@ -333,9 +332,10 @@ StatusOr<StreamingUpdateResult> StreamingUnifiedMVSC::Ingest(
 }
 
 Status StreamingUnifiedMVSC::SetNumClusters(std::size_t num_clusters) {
-  if (num_clusters < 2) {
-    return Status::InvalidArgument("num_clusters must be at least 2");
-  }
+  mvsc::UnifiedOptions updated = options_.unified;
+  updated.num_clusters = num_clusters;
+  UMVSC_RETURN_IF_ERROR(
+      mvsc::ValidateUnifiedOptions(updated, /*anchored=*/true));
   if (num_clusters == options_.unified.num_clusters) return Status::OK();
   options_.unified.num_clusters = num_clusters;
   // The carried state is dimensioned for the old count; drop it and force

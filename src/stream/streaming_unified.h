@@ -117,6 +117,8 @@ struct StreamingUpdateResult {
 /// UMVSC_NUM_THREADS setting.
 class StreamingUnifiedMVSC {
  public:
+  /// Rejects what the batch solvers reject (mvsc::ValidateUnifiedOptions,
+  /// anchored) plus an invalid window, update budget or drift tolerance.
   static StatusOr<StreamingUnifiedMVSC> Create(const StreamingOptions& options);
 
   /// Ingests one mini-batch (same views/dims on every call). Appends the

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
+#include <random>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -231,6 +234,77 @@ TEST(UnifiedMvscTest, ReversingViewsReversesWeightsAndKeepsPartition) {
     const double f = forward->objective_trace.back();
     const double b = backward->objective_trace.back();
     EXPECT_NEAR(b, f, 1e-9 * std::abs(f));
+  }
+}
+
+// Metamorphic invariant of the exact path: nothing in the model depends on
+// the order of the samples, so permuting the rows of every view (the same
+// permutation in each) must permute the labels and nothing else.
+TEST(UnifiedMvscTest, PermutingRowsPermutesLabels) {
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    SCOPED_TRACE(seed);
+    TestProblem problem = MakeProblem(seed);
+    const std::size_t n = problem.dataset.NumSamples();
+    std::vector<std::size_t> perm(n);
+    for (std::size_t i = 0; i < n; ++i) perm[i] = i;
+    std::mt19937_64 rng(seed);
+    std::shuffle(perm.begin(), perm.end(), rng);
+    data::MultiViewDataset permuted = problem.dataset;
+    for (std::size_t v = 0; v < permuted.NumViews(); ++v) {
+      const la::Matrix& from = problem.dataset.views[v];
+      la::Matrix& to = permuted.views[v];
+      for (std::size_t i = 0; i < n; ++i) {
+        std::copy(from.RowPtr(perm[i]), from.RowPtr(perm[i]) + from.cols(),
+                  to.RowPtr(i));
+      }
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      permuted.labels[i] = problem.dataset.labels[perm[i]];
+    }
+    UnifiedMVSC solver(DefaultOptions(3));
+    StatusOr<UnifiedResult> reference =
+        solver.Run(problem.dataset, GraphOptions());
+    StatusOr<UnifiedResult> shuffled = solver.Run(permuted, GraphOptions());
+    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+    ASSERT_TRUE(shuffled.ok()) << shuffled.status().ToString();
+
+    std::vector<std::size_t> expected(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      expected[i] = reference->labels[perm[i]];
+    }
+    StatusOr<double> ari = eval::AdjustedRandIndex(shuffled->labels, expected);
+    ASSERT_TRUE(ari.ok());
+    EXPECT_DOUBLE_EQ(*ari, 1.0);
+  }
+}
+
+// Metamorphic invariant of the exact path: under `standardize` every
+// feature is z-scored before the graphs are built, so multiplying a view's
+// features by a positive constant must leave the partition unchanged. The
+// scales are not powers of two, so the z-scores differ in rounding.
+TEST(UnifiedMvscTest, PerViewFeatureScaleKeepsPartition) {
+  const double scales[] = {0.013, 7.3, 1.9e3};
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    SCOPED_TRACE(seed);
+    TestProblem problem = MakeProblem(seed);
+    data::MultiViewDataset scaled = problem.dataset;
+    ASSERT_EQ(scaled.NumViews(), std::size(scales));
+    for (std::size_t v = 0; v < scaled.NumViews(); ++v) {
+      scaled.views[v].Scale(scales[v]);
+    }
+    GraphOptions graph_options;
+    graph_options.standardize = true;
+    UnifiedMVSC solver(DefaultOptions(3));
+    StatusOr<UnifiedResult> reference =
+        solver.Run(problem.dataset, graph_options);
+    StatusOr<UnifiedResult> rescaled = solver.Run(scaled, graph_options);
+    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+    ASSERT_TRUE(rescaled.ok()) << rescaled.status().ToString();
+
+    StatusOr<double> ari =
+        eval::AdjustedRandIndex(rescaled->labels, reference->labels);
+    ASSERT_TRUE(ari.ok());
+    EXPECT_DOUBLE_EQ(*ari, 1.0);
   }
 }
 

@@ -214,6 +214,44 @@ TEST(StreamingUnifiedTest, SetNumClustersReResolvesDerivedDims) {
   EXPECT_FALSE(stream->SetNumClusters(1).ok());
 }
 
+TEST(StreamingUnifiedTest, RejectsInvalidSolverOptions) {
+  // The stream rejects what SolveUnifiedAnchors rejects: each of these
+  // would otherwise solve to a degenerate weighting or fail deep inside
+  // the eigensolver.
+  StreamingOptions options = BaseOptions();
+  options.unified.gamma = 0.5;
+  EXPECT_FALSE(StreamingUnifiedMVSC::Create(options).ok());
+  options = BaseOptions();
+  options.unified.gamma = 1.0;
+  EXPECT_FALSE(StreamingUnifiedMVSC::Create(options).ok());
+  options = BaseOptions();
+  options.unified.beta = -1.0;
+  EXPECT_FALSE(StreamingUnifiedMVSC::Create(options).ok());
+  options = BaseOptions();
+  options.unified.anchors.num_anchors = 1;
+  options.unified.anchors.anchor_neighbors = 1;
+  EXPECT_FALSE(StreamingUnifiedMVSC::Create(options).ok());
+  options = BaseOptions();
+  options.unified.anchors.anchor_neighbors = 0;
+  EXPECT_FALSE(StreamingUnifiedMVSC::Create(options).ok());
+  options = BaseOptions();
+  options.unified.anchors.anchor_neighbors =
+      options.unified.anchors.num_anchors + 1;
+  EXPECT_FALSE(StreamingUnifiedMVSC::Create(options).ok());
+
+  // γ is only read by the γ-power weighting, as on the batch paths.
+  options = BaseOptions();
+  options.unified.gamma = 0.5;
+  options.unified.weighting = mvsc::ViewWeighting::kAmgl;
+  EXPECT_TRUE(StreamingUnifiedMVSC::Create(options).ok());
+
+  // SetNumClusters runs the same check against the new count.
+  auto stream = StreamingUnifiedMVSC::Create(BaseOptions());
+  ASSERT_TRUE(stream.ok());
+  EXPECT_FALSE(stream->SetNumClusters(1).ok());
+  EXPECT_TRUE(stream->SetNumClusters(4).ok());
+}
+
 TEST(StreamingUnifiedTest, FirstFullSolveMatchesSolveUnifiedAnchors) {
   // The stream's full solve is the batch anchor solver run on the window:
   // the same per-view fit (mvsc::FitAnchorView), the same reduced-problem
