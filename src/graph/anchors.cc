@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "common/parallel.h"
@@ -168,54 +169,55 @@ StatusOr<la::CsrMatrix> BuildAnchorAffinity(const la::Matrix& x,
 
   const la::Vector x_norms = RowSquaredNorms(x);
   const la::Vector a_norms = RowSquaredNorms(anchors);
-  const internal::DirectedSelection sel = internal::TiledSelectRect(
+  internal::DirectedSelection sel = internal::TiledSelectRect(
       n, m, s, /*largest=*/false, options.tile_rows,
       [&](std::size_t r0, std::size_t r1, double* panel) {
         CrossSquaredDistancePanel(x, x_norms, anchors, a_norms, r0, r1, panel);
       });
 
   // Weight + normalize + column-sort each row. Every row depends only on its
-  // own selection (its bandwidth is its own s-th-nearest distance), so the
-  // pass is row-parallel, write-disjoint, and bitwise deterministic. The
-  // weight sum is accumulated in rank order (a fixed order per row), NOT in
-  // column order, so it too is a pure function of the row.
+  // own selection, so the pass is row-parallel, write-disjoint, and bitwise
+  // deterministic.
   std::vector<std::size_t> row_offsets(n + 1);
   for (std::size_t i = 0; i <= n; ++i) row_offsets[i] = i * s;
-  std::vector<std::size_t> cols(n * s);
-  std::vector<double> vals(n * s);
+  std::vector<std::size_t> cols = std::move(sel.cols);  // n·s, rank order
+  std::vector<double> vals = std::move(sel.vals);
   ParallelFor(0, n, 64, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i) {
-      const std::size_t base = i * s;
-      // Rank order is ascending distance: the last kept entry is the s-th
-      // nearest, whose squared distance is the self-tuning bandwidth.
-      const double sigma2 = std::max(sel.vals[base + s - 1], 1e-300);
-      double sum = 0.0;
-      for (std::size_t r = 0; r < s; ++r) {
-        const double w = std::exp(-sel.vals[base + r] / sigma2);
-        cols[base + r] = sel.cols[base + r];
-        vals[base + r] = w;
-        sum += w;
-      }
-      const double inv = 1.0 / sum;  // sum >= exp(-1) by construction
-      for (std::size_t r = 0; r < s; ++r) vals[base + r] *= inv;
-      // Insertion sort to ascending column order (s is small), values ride
-      // along — CSR requires strictly ascending columns per row.
-      for (std::size_t r = 1; r < s; ++r) {
-        const std::size_t cr = cols[base + r];
-        const double vr = vals[base + r];
-        std::size_t q = r;
-        while (q > 0 && cols[base + q - 1] > cr) {
-          cols[base + q] = cols[base + q - 1];
-          vals[base + q] = vals[base + q - 1];
-          --q;
-        }
-        cols[base + q] = cr;
-        vals[base + q] = vr;
-      }
+      WeightAnchorRow(s, cols.data() + i * s, vals.data() + i * s);
     }
   });
   return la::CsrMatrix::FromParts(n, m, std::move(row_offsets),
                                   std::move(cols), std::move(vals));
+}
+
+void WeightAnchorRow(std::size_t s, std::size_t* cols, double* vals) {
+  // Rank order is ascending distance: the last kept entry is the s-th
+  // nearest, whose squared distance is the self-tuning bandwidth. The
+  // weight sum runs in rank order (a fixed order per row), NOT in column
+  // order, so it too is a pure function of the row.
+  const double sigma2 = std::max(vals[s - 1], 1e-300);
+  double sum = 0.0;
+  for (std::size_t r = 0; r < s; ++r) {
+    vals[r] = std::exp(-vals[r] / sigma2);
+    sum += vals[r];
+  }
+  const double inv = 1.0 / sum;  // sum >= exp(-1) by construction
+  for (std::size_t r = 0; r < s; ++r) vals[r] *= inv;
+  // Insertion sort to ascending column order (s is small), values ride
+  // along — CSR requires strictly ascending columns per row.
+  for (std::size_t r = 1; r < s; ++r) {
+    const std::size_t cr = cols[r];
+    const double vr = vals[r];
+    std::size_t q = r;
+    while (q > 0 && cols[q - 1] > cr) {
+      cols[q] = cols[q - 1];
+      vals[q] = vals[q - 1];
+      --q;
+    }
+    cols[q] = cr;
+    vals[q] = vr;
+  }
 }
 
 }  // namespace umvsc::graph

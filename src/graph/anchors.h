@@ -75,6 +75,16 @@ StatusOr<la::CsrMatrix> BuildAnchorAffinity(
     const la::Matrix& x, const la::Matrix& anchors,
     const AnchorGraphOptions& options = {});
 
+/// The weighting half of BuildAnchorAffinity's row rule, which the serving
+/// side (mvsc::assign::SelectAnchorRow) runs too, so training and serving
+/// rows agree bit for bit. On entry `cols`/`vals` hold one row's s selected
+/// anchors and their squared distances in rank (ascending-distance) order.
+/// On exit `vals` holds the self-tuning Gaussian weights exp(−d²/σ²),
+/// σ² = the s-th-nearest squared distance floored at 1e-300, summed in rank
+/// order and scaled by the reciprocal of that sum, and both arrays are
+/// sorted to ascending anchor order. Requires s >= 1.
+void WeightAnchorRow(std::size_t s, std::size_t* cols, double* vals);
+
 }  // namespace umvsc::graph
 
 #endif  // UMVSC_GRAPH_ANCHORS_H_

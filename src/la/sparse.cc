@@ -319,13 +319,6 @@ void CsrMatrix::Scale(double alpha) {
   for (double& v : values_) v *= alpha;
 }
 
-void CsrMatrix::ScaleColumns(const std::vector<double>& factors) {
-  UMVSC_CHECK(factors.size() == cols_, "column factor count mismatch");
-  for (std::size_t e = 0; e < values_.size(); ++e) {
-    values_[e] *= factors[col_indices_[e]];
-  }
-}
-
 bool CsrMatrix::IsSymmetric(double tol) const {
   if (rows_ != cols_) return false;
   for (std::size_t r = 0; r < rows_; ++r) {

@@ -89,9 +89,6 @@ class CsrMatrix {
   Matrix ToDense() const;
   /// this *= alpha.
   void Scale(double alpha);
-  /// this ← this·diag(factors): each stored value times its column's
-  /// factor, pattern unchanged. Requires factors.size() == cols().
-  void ScaleColumns(const std::vector<double>& factors);
 
   /// True when the sparsity pattern and values are symmetric within tol.
   bool IsSymmetric(double tol = 1e-12) const;

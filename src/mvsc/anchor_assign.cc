@@ -1,10 +1,10 @@
 #include "mvsc/anchor_assign.h"
 
-#include <cmath>
 #include <vector>
 
 #include "common/parallel.h"
 #include "data/standardize.h"
+#include "graph/anchors.h"
 #include "graph/distance.h"
 
 namespace umvsc::mvsc::assign {
@@ -43,31 +43,7 @@ void SelectAnchorRow(const double* d2, std::size_t m, std::size_t s,
     cols[q] = j;
     if (filled < s) ++filled;
   }
-  // Self-tuning bandwidth = the worst kept distance; weights accumulate in
-  // rank order (a fixed order per row, independent of anchor indices).
-  const double sigma2 = std::max(weights[s - 1], 1e-300);
-  double sum = 0.0;
-  for (std::size_t r = 0; r < s; ++r) {
-    weights[r] = std::exp(-weights[r] / sigma2);
-    sum += weights[r];
-  }
-  const double inv = 1.0 / sum;  // sum >= exp(-1) by construction
-  for (std::size_t r = 0; r < s; ++r) weights[r] *= inv;
-  // Insertion sort to ascending anchor order (s is small), weights ride
-  // along — the CSR column invariant and the accumulation order of the
-  // coordinate map.
-  for (std::size_t r = 1; r < s; ++r) {
-    const std::size_t cr = cols[r];
-    const double wr = weights[r];
-    std::size_t q = r;
-    while (q > 0 && cols[q - 1] > cr) {
-      cols[q] = cols[q - 1];
-      weights[q] = weights[q - 1];
-      --q;
-    }
-    cols[q] = cr;
-    weights[q] = wr;
-  }
+  graph::WeightAnchorRow(s, cols, weights);
 }
 
 void BlockedVecMatAdd(const double* u, const la::Matrix& a, double* out) {

@@ -25,9 +25,10 @@
 //               training-side scalar dot whenever d ≤ la::kernel::kKc.
 //   selection   SelectAnchorRow: the exact row rule of
 //               graph::BuildAnchorAffinity (s nearest anchors, ties to the
-//               smaller index, self-tuning bandwidth = own s-th-nearest
-//               squared distance, Gaussian weights summed in rank order,
-//               normalized, sorted to ascending anchor order).
+//               smaller index), then that builder's own weighting,
+//               graph::WeightAnchorRow (self-tuning bandwidth = own
+//               s-th-nearest squared distance, Gaussian weights summed in
+//               rank order, normalized, sorted to ascending anchor order).
 //   coordinates ascending-column accumulation u = z·anchor_map — the
 //               documented element order of CsrMatrix::MultiplyInto, so a
 //               row equals the training side's SpMM row.
@@ -66,10 +67,9 @@ inline double SquaredFromDot(double nx, double na, double dot) {
 
 /// graph::BuildAnchorAffinity's row rule applied to one dense distance row:
 /// selects the s nearest of the m squared distances in `d2` (ascending
-/// distance, ties keep the smaller anchor index), turns them into
-/// normalized self-tuning Gaussian weights (bandwidth = the s-th-nearest
-/// squared distance, floored at 1e-300; weights summed in rank order), and
-/// writes them in ascending anchor order — ready to drop into a CSR row.
+/// distance, ties keep the smaller anchor index), then graph::WeightAnchorRow
+/// turns them into normalized self-tuning Gaussian weights in ascending
+/// anchor order — ready to drop into a CSR row.
 /// `cols` and `weights` must hold s entries. Requires 1 ≤ s ≤ m.
 void SelectAnchorRow(const double* d2, std::size_t m, std::size_t s,
                      std::size_t* cols, double* weights);

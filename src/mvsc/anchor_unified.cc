@@ -113,10 +113,17 @@ StatusOr<AnchorUnifiedResult> SolveUnifiedAnchors(
   }
 
   // --- Joint basis and reduced Laplacians H_v (reduced_solve.h — shared
-  // with the streaming path, which builds them over its window).
-  StatusOr<ReducedProblem> problem = BuildReducedProblem(
-      std::move(concat), num_views,
-      [&](std::size_t v) { return std::move(z[v]); }, c);
+  // with the streaming path, which builds them over its window). The
+  // builder reads each Z_v's s-strided CSR arrays in place; z is released
+  // as soon as it returns.
+  std::vector<AnchorRows> rows(num_views);
+  for (std::size_t v = 0; v < num_views; ++v) {
+    UMVSC_CHECK(z[v].NumNonZeros() == n * s, "anchor rows are not s-sparse");
+    rows[v] = {z[v].col_indices().data(), z[v].values().data(), z[v].cols()};
+  }
+  StatusOr<ReducedProblem> problem =
+      BuildReducedProblem(std::move(concat), s, rows, c);
+  z.clear();
   if (!problem.ok()) return problem.status();
 
   // --- From here the solve is the exact path's alternation driver with
@@ -125,7 +132,7 @@ StatusOr<AnchorUnifiedResult> SolveUnifiedAnchors(
   // (row-argmax of B·G·R) because labels are an n-point object. The stream
   // enters the same driver warm (reduced_solve.h); this batch path enters
   // cold — discretize-init plus final polish.
-  ReducedSolveControls controls;  // defaults: cold entry, polish on
+  ReducedSolveControls controls;  // no warm start: cold entry and polish
   StatusOr<ReducedSolveState> state = SolveReducedAlternation(
       problem->laplacians, problem->basis, options, controls, &out.result);
   if (!state.ok()) return state.status();

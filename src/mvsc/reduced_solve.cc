@@ -7,6 +7,7 @@
 
 #include "cluster/gpi.h"
 #include "cluster/rotation.h"
+#include "la/gemm_kernel.h"
 #include "la/lanczos.h"
 #include "la/ops.h"
 #include "la/svd.h"
@@ -52,39 +53,40 @@ StatusOr<la::Matrix> JointOrthonormalBasis(const la::Matrix& concat,
   return basis;
 }
 
-namespace {
-
-// Z ← Ẑ = Z·Λ^{−1/2} in place, Λ = diag(column masses of Z) accumulated
-// serially in storage order (AnchorSpectralEmbedding's rule).
-void NormalizeColumns(la::CsrMatrix& z) {
-  const std::vector<std::size_t>& cols = z.col_indices();
-  const std::vector<double>& vals = z.values();
-  std::vector<double> inv_sqrt(z.cols(), 0.0);
-  for (std::size_t e = 0; e < vals.size(); ++e) inv_sqrt[cols[e]] += vals[e];
-  for (double& mass : inv_sqrt) {
-    mass = mass > 0.0 ? 1.0 / std::sqrt(mass) : 0.0;
-  }
-  z.ScaleColumns(inv_sqrt);
-}
-
-}  // namespace
-
 StatusOr<ReducedProblem> BuildReducedProblem(
-    la::Matrix concat, std::size_t num_views,
-    const std::function<la::CsrMatrix(std::size_t)>& view_graph,
+    la::Matrix concat, std::size_t s, const std::vector<AnchorRows>& views,
     std::size_t num_clusters) {
+  const std::size_t n = concat.rows();
   ReducedProblem out;
   StatusOr<la::Matrix> basis =
       JointOrthonormalBasis(concat, num_clusters, &out.mix);
   if (!basis.ok()) return basis.status();
   out.basis = std::move(*basis);
   concat = la::Matrix();  // the basis was its last use
+  const std::size_t p = out.basis.cols();
   const la::Matrix btb = la::Gram(out.basis);
-  out.laplacians.resize(num_views);
-  for (std::size_t v = 0; v < num_views; ++v) {
-    la::CsrMatrix zhat = view_graph(v);
-    NormalizeColumns(zhat);
-    const la::Matrix e = zhat.Transposed().Multiply(out.basis);
+  out.laplacians.resize(views.size());
+  std::vector<double> inv_sqrt;
+  for (std::size_t v = 0; v < views.size(); ++v) {
+    const AnchorRows& z = views[v];
+    // Λ = diag(column masses of Z), accumulated serially in storage order
+    // (AnchorSpectralEmbedding's rule); Ẑ = Z·Λ^{−1/2} is never stored.
+    inv_sqrt.assign(z.num_anchors, 0.0);
+    for (std::size_t t = 0; t < n * s; ++t) inv_sqrt[z.cols[t]] += z.vals[t];
+    for (double& mass : inv_sqrt) {
+      mass = mass > 0.0 ? 1.0 / std::sqrt(mass) : 0.0;
+    }
+    // E = ẐᵀB as one scatter in row order: each E row sees its rows'
+    // unfused v·b adds in ascending row order, exactly as the SpMM of the
+    // transposed Ẑ accumulates them.
+    la::Matrix e(z.num_anchors, p);
+    for (std::size_t i = 0; i < n; ++i) {
+      const double* b_row = out.basis.RowPtr(i);
+      for (std::size_t t = i * s; t < (i + 1) * s; ++t) {
+        const std::size_t col = z.cols[t];
+        la::kernel::Axpy(z.vals[t] * inv_sqrt[col], b_row, e.RowPtr(col), p);
+      }
+    }
     la::Matrix h = la::Add(btb, la::Gram(e), -1.0);
     h.Symmetrize();
     out.laplacians[v] = la::CsrMatrix::FromDense(h);
@@ -286,11 +288,12 @@ Status SolveAlternation(const std::vector<la::CsrMatrix>& laplacians,
     prev_obj = obj;
   }
 
-  if (controls.polish) {
-    // Final polish: re-search (Y, R) for the converged F with fresh
-    // rotation restarts — the alternation only ever refined the incumbent
-    // rotation, and a restarted search occasionally finds a strictly better
-    // discretization. Accepted only when the full objective improves.
+  if (controls.warm == nullptr) {
+    // Final polish of a cold entry: re-search (Y, R) for the converged F
+    // with fresh rotation restarts — the alternation only ever refined the
+    // incumbent rotation, and a restarted search occasionally finds a
+    // strictly better discretization. Accepted only when the full objective
+    // improves.
     cluster::RotationOptions rot_final;
     rot_final.seed = options.seed + 97;
     rot_final.restarts = 8;

@@ -2,7 +2,6 @@
 #define UMVSC_MVSC_REDUCED_SOLVE_H_
 
 #include <cstddef>
-#include <functional>
 #include <vector>
 
 #include "common/status.h"
@@ -39,30 +38,39 @@ StatusOr<la::Matrix> JointOrthonormalBasis(const la::Matrix& concat,
 struct ReducedProblem {
   la::Matrix basis;  ///< n × p orthonormal B = concat·mix
   la::Matrix mix;    ///< p_full × p (JointOrthonormalBasis)
-  /// H_v = BᵀL_vB = BᵀB − E_vᵀE_v with E_v = Ẑ_vᵀB (m × p, one transposed
-  /// SpMM — O(n·s·p), never an n × n Laplacian), Ẑ_v = Z_v·Λ_v^{−1/2};
+  /// H_v = BᵀL_vB = BᵀB − E_vᵀE_v with E_v = Ẑ_vᵀB (m × p, one row-order
+  /// scatter — O(n·s·p), never an n × n Laplacian), Ẑ_v = Z_v·Λ_v^{−1/2};
   /// symmetrized, p × p CSR, so the exact path's combiner, eigensolves,
   /// GPI and trace kernels apply unchanged. Spectrum in [0, 1] up to basis
   /// rounding (Z row-stochastic).
   std::vector<la::CsrMatrix> laplacians;
 };
 
+/// One view's raw bipartite graph Z_v over the n rows of a reduced
+/// problem, borrowed in the one layout every anchor graph here has:
+/// exactly s entries per row, row i's anchor indices and weights at
+/// cols/vals + i·s (graph::BuildAnchorAffinity's CSR arrays, or a window
+/// of the stream's flat per-view arrays).
+struct AnchorRows {
+  const std::size_t* cols = nullptr;
+  const double* vals = nullptr;
+  std::size_t num_anchors = 0;  ///< m_v, the column count of Z_v
+};
+
 /// Builds the ReducedProblem from the concatenated per-view embeddings
 /// [U_1 | … | U_V] (n × p_full, consumed: released once the basis is
-/// built) and each view's raw bipartite graph Z_v (n × m_v, the rows of
-/// `concat` in the same order), which `view_graph(v)` returns — called
-/// once per view, in view order, and normalized in place into Ẑ_v, which
-/// is released once its H_v is built; a caller that assembles the graphs
-/// on demand holds one at a time. The degree normalization Λ_v is the
-/// column masses of the Z_v given — accumulated serially in storage
-/// order, bitwise equal to cluster::AnchorEmbeddingResult::anchor_mass on
-/// the same Z — so a caller whose rows changed since the embedding (the
-/// streaming window) gets the CURRENT masses: stale ones would let ‖ẐẐᵀ‖
-/// exceed 1 and drive H_v indefinite. Errors when the basis rank falls
-/// below `num_clusters`.
+/// built) and each view's s-strided rows of Z_v (the rows of `concat` in
+/// the same order), read in place — no CSR, scaled or transposed copy of
+/// Z_v is made. The degree normalization Λ_v is the column masses of the
+/// rows given — accumulated serially in storage order, bitwise equal to
+/// cluster::AnchorEmbeddingResult::anchor_mass on the same Z — so a caller
+/// whose rows changed since the embedding (the streaming window) gets the
+/// CURRENT masses: stale ones would let ‖ẐẐᵀ‖ exceed 1 and drive H_v
+/// indefinite. E_v = Ẑ_vᵀB accumulates in row order through the unfused
+/// la::kernel::Axpy, bitwise equal to the transposed CSR SpMM. Errors when
+/// the basis rank falls below `num_clusters`.
 StatusOr<ReducedProblem> BuildReducedProblem(
-    la::Matrix concat, std::size_t num_views,
-    const std::function<la::CsrMatrix(std::size_t)>& view_graph,
+    la::Matrix concat, std::size_t s, const std::vector<AnchorRows>& views,
     std::size_t num_clusters);
 
 /// State carried between solves to warm-start the next one: the reduced
@@ -79,15 +87,15 @@ struct ReducedWarmStart {
 
 /// How to enter the alternation.
 struct ReducedSolveControls {
-  /// Final (Y, R) re-search with fresh restarts, accepted only on objective
-  /// improvement — the batch path's finisher. Streaming updates skip it:
-  /// the carried rotation already sits at the incumbent's fixed point and
-  /// per-batch latency matters more than a last objective nudge.
-  bool polish = true;
   /// When set, enters warm: G seeds the init eigensolves, the carried
   /// rotation replaces the discretize-init, weights open at the carried
-  /// mixture. When null (or shapes stale), the cold path runs: uniform
-  /// weights, DiscretizeEmbedding init at seed+31, polish at seed+97.
+  /// mixture, and the final (Y, R) polish is skipped — the carried rotation
+  /// already sits at the incumbent's fixed point and per-batch latency
+  /// matters more than a last objective nudge. When null, the cold path
+  /// runs: uniform weights, DiscretizeEmbedding init at seed+31, and the
+  /// polish at seed+97 (a restarted re-search accepted only on objective
+  /// improvement). A stale warm shape degrades that piece to cold but
+  /// still skips the polish.
   const ReducedWarmStart* warm = nullptr;
 };
 
@@ -106,7 +114,7 @@ struct ReducedSolveState {
 };
 
 /// Runs spectral floors (kExcess) → init alternations → G/R/Y/α loop →
-/// optional polish: internal::SolveAlternation with `basis` set. Appends
+/// polish when cold: internal::SolveAlternation with `basis` set. Appends
 /// traces and matvec counts to `result` and fills its labels / indicator /
 /// embedding / rotation / view_weights. `basis`
 /// must have orthonormal columns (BᵀB ≈ I) and as many columns as each H_v

@@ -21,8 +21,8 @@ namespace umvsc::mvsc::internal {
 /// objective. Nothing outside mvsc/ should include this header.
 
 /// The one G/R/Y/α alternation: spectral floors (kExcess) → init
-/// alternations → discretize-init (or the warm rotation) → loop → optional
-/// polish, with SolveReducedAlternation's contract. `basis` null is the
+/// alternations → discretize-init (or the warm rotation) → loop → polish
+/// (cold entries only), with SolveReducedAlternation's contract. `basis` null is the
 /// exact path: `laplacians` are the n × n L_v themselves, F = G and the
 /// reduced image P = BᵀŶ is Ŷ (aliases, no copies); the warm-up
 /// eigensolves then run on MassNormalizedCombination, which incomplete

@@ -23,6 +23,13 @@ double SmoothnessFloor(std::size_t num_clusters) {
   return 0.02 * static_cast<double>(num_clusters);
 }
 
+// Budgets of a warm incremental update: the carried (G, R, α) already sits
+// near the fixed point, so one init eigensolve↔weight alternation and a few
+// outer G/R/Y/α iterations suffice (the cold batch budgets come from
+// StreamingOptions::unified).
+constexpr std::size_t kUpdateInitAlternations = 1;
+constexpr std::size_t kUpdateMaxIterations = 8;
+
 }  // namespace
 
 StatusOr<StreamingUnifiedMVSC> StreamingUnifiedMVSC::Create(
@@ -32,9 +39,6 @@ StatusOr<StreamingUnifiedMVSC> StreamingUnifiedMVSC::Create(
   }
   UMVSC_RETURN_IF_ERROR(
       mvsc::ValidateUnifiedOptions(options.unified, /*anchored=*/true));
-  if (options.update_max_iterations < 1) {
-    return Status::InvalidArgument("update_max_iterations must be positive");
-  }
   if (options.objective_drift_tolerance < 0.0 ||
       options.smoothness_drift_tolerance < 0.0) {
     return Status::InvalidArgument("drift tolerances must be nonnegative");
@@ -135,7 +139,7 @@ void StreamingUnifiedMVSC::CompactWindow() {
 }
 
 Status StreamingUnifiedMVSC::SolveWindow(
-    const mvsc::UnifiedOptions& solve_options, bool warm, bool polish,
+    const mvsc::UnifiedOptions& solve_options, bool warm,
     StreamingUpdateResult* out) {
   const std::size_t c = solve_options.num_clusters;
   const std::size_t s = options_.unified.anchors.anchor_neighbors;
@@ -163,28 +167,21 @@ Status StreamingUnifiedMVSC::SolveWindow(
   la::Matrix f_warm;
   if (use_warm) f_warm = la::MatMul(concat, extend_);
 
-  // Each view's window rows as a CSR, assembled when the shared builder
-  // asks for it; the builder recomputes the degree normalization from them,
-  // so it tracks the LIVE window rather than the solve-time masses.
-  StatusOr<mvsc::ReducedProblem> problem = mvsc::BuildReducedProblem(
-      std::move(concat), num_views,
-      [&](std::size_t v) {
-        const ViewState& view = views_[v];
-        std::vector<std::size_t> offsets(rows_ + 1);
-        for (std::size_t i = 0; i <= rows_; ++i) offsets[i] = i * s;
-        return la::CsrMatrix::FromParts(
-            rows_, view.model.anchors.rows(), std::move(offsets),
-            std::vector<std::size_t>(view.z_cols.begin() + head_ * s,
-                                     view.z_cols.begin() + (head_ + rows_) * s),
-            std::vector<double>(view.z_vals.begin() + head_ * s,
-                                view.z_vals.begin() + (head_ + rows_) * s));
-      },
-      c);
+  // Each view's window rows, read in place from the flat arrays; the
+  // builder recomputes the degree normalization from them, so it tracks the
+  // LIVE window rather than the solve-time masses.
+  std::vector<mvsc::AnchorRows> rows(num_views);
+  for (std::size_t v = 0; v < num_views; ++v) {
+    const ViewState& view = views_[v];
+    rows[v] = {view.z_cols.data() + head_ * s, view.z_vals.data() + head_ * s,
+               view.model.anchors.rows()};
+  }
+  StatusOr<mvsc::ReducedProblem> problem =
+      mvsc::BuildReducedProblem(std::move(concat), s, rows, c);
   if (!problem.ok()) return problem.status();
 
   mvsc::ReducedWarmStart warm_state;
   mvsc::ReducedSolveControls controls;
-  controls.polish = polish;
   if (use_warm) {
     warm_state.g = la::MatTMul(problem->basis, f_warm);
     warm_state.rotation = rotation_;
@@ -251,8 +248,7 @@ Status StreamingUnifiedMVSC::FullResolve(const std::string& reason,
     view.anchor_panel = mvsc::assign::PrepareAnchors(view.model.anchors);
   }
 
-  UMVSC_RETURN_IF_ERROR(
-      SolveWindow(uopts, /*warm=*/false, /*polish=*/true, out));
+  UMVSC_RETURN_IF_ERROR(SolveWindow(uopts, /*warm=*/false, out));
   baseline_objective_ = out->objective;
   baseline_smoothness_ = out->view_smoothness;
   model_ready_ = true;
@@ -266,15 +262,11 @@ Status StreamingUnifiedMVSC::FullResolve(const std::string& reason,
 
 Status StreamingUnifiedMVSC::IncrementalUpdate(StreamingUpdateResult* out) {
   mvsc::UnifiedOptions upd = options_.unified;
-  bool warm = false;
-  bool polish = true;
   if (options_.warm_updates) {
-    upd.init_alternations = options_.update_init_alternations;
-    upd.max_iterations = options_.update_max_iterations;
-    warm = true;
-    polish = false;
+    upd.init_alternations = kUpdateInitAlternations;
+    upd.max_iterations = kUpdateMaxIterations;
   }
-  UMVSC_RETURN_IF_ERROR(SolveWindow(upd, warm, polish, out));
+  UMVSC_RETURN_IF_ERROR(SolveWindow(upd, options_.warm_updates, out));
   ++incremental_updates_;
 
   // Drift detection against the last full solve's baselines: relative

@@ -27,16 +27,11 @@ struct StreamingOptions {
   std::size_t window_capacity = 5000;
 
   /// Incremental updates enter the reduced alternation warm (carried
-  /// G/R/α seed, `update_*` budgets below, no polish). When false the same
-  /// frozen-model incremental pipeline runs but every update enters COLD
-  /// with the full batch budgets — the A/B baseline the warm-vs-cold
-  /// parity test measures against.
+  /// G/R/α seed, one init alternation and at most 8 outer iterations, no
+  /// polish). When false the same frozen-model incremental pipeline runs
+  /// but every update enters COLD with the full batch budgets — the A/B
+  /// baseline the warm-vs-cold parity test measures against.
   bool warm_updates = true;
-  /// Init eigensolve↔weight alternations per warm update (the cold batch
-  /// count comes from unified.init_alternations).
-  std::size_t update_init_alternations = 1;
-  /// Outer G/R/Y/α iterations per warm update.
-  std::size_t update_max_iterations = 8;
 
   /// Drift triggers, checked after every incremental update against the
   /// baselines recorded at the last full solve. Relative growth of the
@@ -99,12 +94,13 @@ struct StreamingUpdateResult {
 ///                 through the anchor-assignment kernel that serving runs
 ///                 (mvsc/anchor_assign.h: fixed row tiles under
 ///                 ParallelFor, O(m·d + s·k) per point and view), window
-///                 rows append/evict in
-///                 O(1) amortized on flat uniform-stride arrays (no CSR
-///                 rebuild), the joint basis and reduced Laplacians are
-///                 recomputed over the window (linear in window size), and
-///                 the alternation re-enters WARM from the carried
-///                 (G, R, α) with small iteration budgets.
+///                 rows append/evict in O(1) amortized on flat
+///                 uniform-stride arrays (no CSR rebuild), the joint basis
+///                 and reduced Laplacians are recomputed over the window
+///                 (linear in window size, the builder reading the flat
+///                 anchor rows in place rather than a copy), and the
+///                 alternation re-enters WARM from the carried (G, R, α)
+///                 with small iteration budgets.
 ///   drift         the unified objective and per-view smoothness h_v are
 ///                 compared to their values at the last full solve; growth
 ///                 past the tolerances triggers a full re-solve (with
@@ -118,7 +114,7 @@ struct StreamingUpdateResult {
 class StreamingUnifiedMVSC {
  public:
   /// Rejects what the batch solvers reject (mvsc::ValidateUnifiedOptions,
-  /// anchored) plus an invalid window, update budget or drift tolerance.
+  /// anchored) plus an invalid window or drift tolerance.
   static StatusOr<StreamingUnifiedMVSC> Create(const StreamingOptions& options);
 
   /// Ingests one mini-batch (same views/dims on every call). Appends the
@@ -172,12 +168,13 @@ class StreamingUnifiedMVSC {
   /// batch (ExtendRows is skipped there — FullResolve refits every row), so
   /// head_ rows may exceed what a lagging array holds.
   void CompactWindow();
-  /// Basis + reduced Laplacians over the current window from the flat
-  /// storage (mvsc::BuildReducedProblem); then one reduced alternation.
-  /// `warm` enters from the carried (G, R, α); `polish` runs the final
-  /// (Y, R) re-search.
+  /// Basis + reduced Laplacians over the current window, the builder
+  /// reading the flat z_cols/z_vals rows in place
+  /// (mvsc::BuildReducedProblem); then one reduced alternation. `warm`
+  /// enters from the carried (G, R, α); a cold entry ends with the final
+  /// (Y, R) polish.
   Status SolveWindow(const mvsc::UnifiedOptions& solve_options, bool warm,
-                     bool polish, StreamingUpdateResult* out);
+                     StreamingUpdateResult* out);
   Status FullResolve(const std::string& reason, StreamingUpdateResult* out);
   Status IncrementalUpdate(StreamingUpdateResult* out);
 

@@ -185,17 +185,6 @@ TEST(CsrTest, ScaleMultipliesValues) {
   EXPECT_DOUBLE_EQ(m.At(2, 1), 2.5);
 }
 
-TEST(CsrTest, ScaleColumnsMultipliesEachColumnByItsFactor) {
-  CsrMatrix m = SmallExample();
-  m.ScaleColumns({2.0, 0.0, -1.0});
-  EXPECT_EQ(m.NumNonZeros(), 5u);  // a zero factor keeps the pattern
-  EXPECT_DOUBLE_EQ(m.At(0, 0), 2.0);
-  EXPECT_DOUBLE_EQ(m.At(0, 2), -2.0);
-  EXPECT_DOUBLE_EQ(m.At(1, 2), -3.0);
-  EXPECT_DOUBLE_EQ(m.At(2, 0), 8.0);
-  EXPECT_DOUBLE_EQ(m.At(2, 1), 0.0);
-}
-
 TEST(CsrTest, IsSymmetricDetects) {
   CsrMatrix sym = CsrMatrix::FromTriplets(
       2, 2, {{0, 1, 3.0}, {1, 0, 3.0}, {0, 0, 1.0}});

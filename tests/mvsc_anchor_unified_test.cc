@@ -1,19 +1,26 @@
 // Tests for the anchor (large-scale) mode of the unified solver: planted
 // clusters recovered through the reduced space, label parity with the exact
 // path on the same data, bitwise determinism across thread counts, output
-// invariants, and the entry-point contract (anchor mode needs features, and
-// leaving it disabled must not disturb the exact path).
+// invariants, the entry-point contract (anchor mode needs features, and
+// leaving it disabled must not disturb the exact path), and the reduced
+// problem builder against a dense reference.
 #include "mvsc/anchor_unified.h"
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/parallel.h"
+#include "common/rng.h"
 #include "data/synthetic.h"
 #include "eval/metrics.h"
 #include "la/ops.h"
+#include "la/sparse.h"
+#include "mvsc/reduced_solve.h"
 #include "mvsc/unified.h"
 
 namespace umvsc::mvsc {
@@ -162,6 +169,117 @@ TEST(AnchorUnifiedTest, ModelExposesTheServingChain) {
   }
   EXPECT_EQ(model.assignment.rows(), total_dims);
   EXPECT_EQ(model.assignment.cols(), 4u);
+}
+
+// One view's s-strided anchor rows stored at row offset `head` inside
+// larger arrays, as the stream's window sits inside its flat storage. The
+// rows outside [head, head + n) hold junk the builder must never read.
+struct StridedRows {
+  std::vector<std::size_t> cols;
+  std::vector<double> vals;
+  std::size_t m = 0;
+};
+
+StridedRows MakeStridedRows(std::size_t n, std::size_t m, std::size_t s,
+                            std::size_t head, std::size_t tail,
+                            std::uint64_t seed) {
+  StridedRows z;
+  z.m = m;
+  z.cols.assign((head + n + tail) * s, m - 1);
+  z.vals.assign((head + n + tail) * s, 1e3);
+  Rng rng(seed);
+  for (std::size_t i = head; i < head + n; ++i) {
+    std::vector<std::size_t> picks = rng.SampleWithoutReplacement(m, s);
+    std::sort(picks.begin(), picks.end());
+    double sum = 0.0;
+    for (std::size_t r = 0; r < s; ++r) {
+      z.cols[i * s + r] = picks[r];
+      z.vals[i * s + r] = rng.Uniform(0.1, 1.0);
+      sum += z.vals[i * s + r];
+    }
+    for (std::size_t r = 0; r < s; ++r) z.vals[i * s + r] /= sum;
+  }
+  return z;
+}
+
+bool SameBits(const la::Matrix& a, const la::Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(),
+                     a.rows() * a.cols() * sizeof(double)) == 0;
+}
+
+TEST(AnchorUnifiedTest, ReducedProblemMatchesTheDenseReference) {
+  const std::size_t n = 40, s = 3, head = 7, tail = 3, c = 2;
+  const std::vector<StridedRows> z = {
+      MakeStridedRows(n, 9, s, head, tail, 5),
+      MakeStridedRows(n, 7, s, head, tail, 6)};
+  Rng rng(7);
+  const la::Matrix concat = la::Matrix::RandomGaussian(n, 6, rng);
+  std::vector<AnchorRows> rows;
+  for (const StridedRows& view : z) {
+    rows.push_back({view.cols.data() + head * s, view.vals.data() + head * s,
+                    view.m});
+  }
+  StatusOr<ReducedProblem> got = BuildReducedProblem(concat, s, rows, c);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ASSERT_EQ(got->laplacians.size(), z.size());
+  const la::Matrix& b = got->basis;
+  const std::size_t p = b.cols();
+
+  for (std::size_t v = 0; v < z.size(); ++v) {
+    // Dense reference: Ẑ = Z·Λ^{−1/2} from the window rows alone, then
+    // H = BᵀB − (ẐᵀB)ᵀ(ẐᵀB).
+    std::vector<std::size_t> offsets(n + 1);
+    for (std::size_t i = 0; i <= n; ++i) offsets[i] = i * s;
+    la::Matrix zhat =
+        la::CsrMatrix::FromParts(
+            n, z[v].m, std::move(offsets),
+            {z[v].cols.begin() + head * s, z[v].cols.begin() + (head + n) * s},
+            {z[v].vals.begin() + head * s, z[v].vals.begin() + (head + n) * s})
+            .ToDense();
+    for (std::size_t j = 0; j < z[v].m; ++j) {
+      double mass = 0.0;
+      for (std::size_t i = 0; i < n; ++i) mass += zhat(i, j);
+      const double scale = mass > 0.0 ? 1.0 / std::sqrt(mass) : 0.0;
+      for (std::size_t i = 0; i < n; ++i) zhat(i, j) *= scale;
+    }
+    const la::Matrix e = la::MatTMul(zhat, b);
+    const la::Matrix want =
+        la::Add(la::MatTMul(b, b), la::MatTMul(e, e), -1.0);
+    const la::Matrix h = got->laplacians[v].ToDense();
+    ASSERT_EQ(h.rows(), p);
+    ASSERT_EQ(h.cols(), p);
+    for (std::size_t i = 0; i < p; ++i) {
+      for (std::size_t j = 0; j < p; ++j) {
+        EXPECT_NEAR(h(i, j), want(i, j), 1e-12) << "view " << v;
+        EXPECT_EQ(h(i, j), h(j, i)) << "view " << v;
+      }
+    }
+  }
+
+  // The same rows at offset 0 of arrays of their own: bitwise the same
+  // problem.
+  std::vector<std::vector<std::size_t>> cols0;
+  std::vector<std::vector<double>> vals0;
+  std::vector<AnchorRows> rows0;
+  for (const StridedRows& view : z) {
+    cols0.emplace_back(view.cols.begin() + head * s,
+                       view.cols.begin() + (head + n) * s);
+    vals0.emplace_back(view.vals.begin() + head * s,
+                       view.vals.begin() + (head + n) * s);
+  }
+  for (std::size_t v = 0; v < z.size(); ++v) {
+    rows0.push_back({cols0[v].data(), vals0[v].data(), z[v].m});
+  }
+  StatusOr<ReducedProblem> at0 = BuildReducedProblem(concat, s, rows0, c);
+  ASSERT_TRUE(at0.ok()) << at0.status().ToString();
+  EXPECT_TRUE(SameBits(at0->basis, got->basis));
+  EXPECT_TRUE(SameBits(at0->mix, got->mix));
+  for (std::size_t v = 0; v < z.size(); ++v) {
+    EXPECT_TRUE(SameBits(at0->laplacians[v].ToDense(),
+                         got->laplacians[v].ToDense()))
+        << "view " << v;
+  }
 }
 
 }  // namespace
