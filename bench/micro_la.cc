@@ -13,8 +13,9 @@
 //   micro_la --json=FILE      write the eigensolver harness results
 //                             (skinny-SpMM sweep, per-shape legs and policy
 //                             decisions) as JSON
-//   micro_la --gemm-json=FILE write the GEMM sweep (scalar-forced vs SIMD)
-//                             + the Lanczos wall-time ratios as JSON
+//   micro_la --gemm-json=FILE write the GEMM sweep (the backend this build
+//                             selected) + the Lanczos wall-time ratios as
+//                             JSON
 //   micro_la --harness-only   skip the google-benchmark suite
 
 #include <benchmark/benchmark.h>
@@ -28,9 +29,9 @@
 #include "bench_common.h"
 #include "common/rng.h"
 #include "graph/laplacian.h"
-#include "la/gemm_kernel.h"
 #include "la/lanczos.h"
 #include "la/ops.h"
+#include "la/simd.h"
 #include "la/sparse.h"
 #include "la/svd.h"
 #include "la/sym_eigen.h"
@@ -452,14 +453,13 @@ int RunEigensolverComparison(bool smoke, std::vector<EigBenchRow>* out_rows) {
   return violations;
 }
 
-// --- GEMM sweep: scalar-forced vs SIMD dispatch at the panel shapes ---
+// --- GEMM sweep: the compiled backend at the panel shapes ---
 
 struct GemmSweepRow {
   const char* label;  // which solver panel product this shape mirrors
   const char* op;     // "MatTMul" (projection) or "MatMul" (update)
   std::size_t m, n, k;
-  double simd_seconds = 0.0;
-  double scalar_seconds = 0.0;
+  double seconds = 0.0;
 };
 
 double GemmGflops(const GemmSweepRow& r, double seconds) {
@@ -467,8 +467,8 @@ double GemmGflops(const GemmSweepRow& r, double seconds) {
          static_cast<double>(r.k) / seconds / 1e9;
 }
 
-// Best-of-repeats wall time of one panel product under the CURRENT dispatch
-// state. `tall` is the n×c panel, `small` the c×c square factor.
+// Best-of-repeats wall time of one panel product. `tall` is the n×c panel,
+// `small` the c×c square factor.
 double TimePanelProduct(const la::Matrix& tall, const la::Matrix& small,
                         bool projection, double flops, std::size_t repeats) {
   const std::size_t inner =
@@ -500,10 +500,9 @@ std::vector<GemmSweepRow> RunGemmSweep(bool smoke) {
   const std::size_t repeats = smoke ? 1 : 3;
 
   std::printf(
-      "\ngemm: scalar-forced vs %s dispatch (packed register-blocked kernel)\n"
-      "%-16s %-8s %6s %6s %6s | %9s %9s %8s\n",
-      la::kernel::ActiveBackendName(), "shape", "op", "m", "n", "k",
-      "scal GF/s", "simd GF/s", "speedup");
+      "\ngemm: %s backend (packed register-blocked kernel)\n"
+      "%-16s %-8s %6s %6s %6s | %9s\n",
+      la::simd::NativeBackendName(), "shape", "op", "m", "n", "k", "GF/s");
   std::vector<GemmSweepRow> rows;
   for (const EigBenchPoint& s : shapes) {
     Rng rng(17);
@@ -520,18 +519,9 @@ std::vector<GemmSweepRow> RunGemmSweep(bool smoke) {
       const double flops = 2.0 * static_cast<double>(row.m) *
                            static_cast<double>(row.n) *
                            static_cast<double>(row.k);
-      row.simd_seconds =
-          TimePanelProduct(tall, small, projection, flops, repeats);
-      {
-        la::kernel::ScopedForceScalar force_scalar;
-        row.scalar_seconds =
-            TimePanelProduct(tall, small, projection, flops, repeats);
-      }
-      std::printf("%-16s %-8s %6zu %6zu %6zu | %9.2f %9.2f %7.2fx\n",
-                  row.label, row.op, row.m, row.n, row.k,
-                  GemmGflops(row, row.scalar_seconds),
-                  GemmGflops(row, row.simd_seconds),
-                  row.scalar_seconds / row.simd_seconds);
+      row.seconds = TimePanelProduct(tall, small, projection, flops, repeats);
+      std::printf("%-16s %-8s %6zu %6zu %6zu | %9.2f\n", row.label, row.op,
+                  row.m, row.n, row.k, GemmGflops(row, row.seconds));
       rows.push_back(row);
     }
   }
@@ -543,7 +533,7 @@ void WriteGemmJson(const std::vector<GemmSweepRow>& rows,
                    const std::string& path) {
   std::ofstream out(path);
   out << "{\n  \"benchmark\": \"gemm\",\n  \"backend\": \""
-      << la::kernel::ActiveBackendName() << "\",\n  \"shapes\": [\n";
+      << la::simd::NativeBackendName() << "\",\n  \"shapes\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const GemmSweepRow& r = rows[i];
     char buf[512];
@@ -551,12 +541,9 @@ void WriteGemmJson(const std::vector<GemmSweepRow>& rows,
         buf, sizeof(buf),
         "    {\"shape\": \"%s\", \"op\": \"%s\","
         " \"m\": %zu, \"n\": %zu, \"k\": %zu,\n"
-        "     \"scalar_seconds\": %.6e, \"simd_seconds\": %.6e,\n"
-        "     \"scalar_gflops\": %.3f, \"simd_gflops\": %.3f,"
-        " \"speedup\": %.3f}%s\n",
-        r.label, r.op, r.m, r.n, r.k, r.scalar_seconds, r.simd_seconds,
-        GemmGflops(r, r.scalar_seconds), GemmGflops(r, r.simd_seconds),
-        r.scalar_seconds / r.simd_seconds, i + 1 < rows.size() ? "," : "");
+        "     \"seconds\": %.6e, \"gflops\": %.3f}%s\n",
+        r.label, r.op, r.m, r.n, r.k, r.seconds, GemmGflops(r, r.seconds),
+        i + 1 < rows.size() ? "," : "");
     out << buf;
   }
   out << "  ],\n  \"lanczos_time_ratios\": [\n";

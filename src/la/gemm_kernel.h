@@ -4,34 +4,7 @@
 #include <cstddef>
 #include <vector>
 
-#include "la/simd.h"
-
 namespace umvsc::la::kernel {
-
-/// Runtime SIMD switch. Resolution: a ScopedForceScalar override (tests,
-/// benchmarks) → the UMVSC_SIMD environment variable, read once ("off"/"0"
-/// disables) → on. In -DUMVSC_DISABLE_SIMD builds this may still return
-/// true, but NativeVec4 is already the scalar emulation, so every dispatch
-/// lands on scalar code either way.
-bool SimdEnabled();
-
-/// Name of the backend the current dispatch state resolves to:
-/// "avx2" / "sse2" / "neon" when SimdEnabled(), else "scalar".
-const char* ActiveBackendName();
-
-/// Forces the scalar dispatch (or re-enables SIMD with force=false) for
-/// the current scope. Not thread-safe against concurrently *running*
-/// kernels — use from test/bench setup only, like ScopedNumThreads.
-class ScopedForceScalar {
- public:
-  explicit ScopedForceScalar(bool force = true);
-  ~ScopedForceScalar();
-  ScopedForceScalar(const ScopedForceScalar&) = delete;
-  ScopedForceScalar& operator=(const ScopedForceScalar&) = delete;
-
- private:
-  bool previous_;
-};
 
 /// A GEMM input: a row-major array read as-is (logical(i, j) =
 /// data[i·stride + j]) or transposed (logical(i, j) = data[j·stride + i])
@@ -64,12 +37,12 @@ inline constexpr std::size_t kKc = 256;
 /// independent of the row range (thread partition), the register tile a
 /// value lands in, edge handling, and the SIMD backend — so results are
 /// bitwise identical across 1/2/8 threads and across AVX2/SSE2/NEON/
-/// scalar dispatch (modulo FMA contraction of the scalar fallback on
+/// scalar builds (modulo FMA contraction of the scalar fallback on
 /// non-x86 compilers; see docs/THREADING.md).
 ///
 /// Callers parallelize by row range: any partition of [0, m) yields the
-/// same bits. Dispatches to the native or scalar instantiation per
-/// SimdEnabled().
+/// same bits. Runs the simd::NativeVec4 instantiation, which is the scalar
+/// emulation in -DUMVSC_DISABLE_SIMD builds.
 void GemmAdd(std::size_t n, std::size_t k, const Operand& a, const Operand& b,
              double* c, std::size_t c_stride, std::size_t row_begin,
              std::size_t row_end);
@@ -91,25 +64,17 @@ PackedB PackB(std::size_t n, std::size_t k, const Operand& b);
 
 /// GemmAdd against a pre-packed B: runs the same block loop without
 /// packing B, so C gets the bits GemmAdd(b.n, b.k, a, <the packed operand>,
-/// c, c_stride, row_begin, row_end) would give, on either dispatch.
+/// c, c_stride, row_begin, row_end) would give.
 void GemmAdd(const Operand& a, const PackedB& b, double* c,
              std::size_t c_stride, std::size_t row_begin, std::size_t row_end);
 
-/// Scalar-forced flavor of GemmAdd, always available (compiled with
-/// auto-vectorization disabled so "scalar-forced" benchmarks measure
-/// honest scalar code). Same accumulation grid, hence bitwise-comparable
-/// output.
-void GemmAddScalar(std::size_t n, std::size_t k, const Operand& a,
-                   const Operand& b, double* c, std::size_t c_stride,
-                   std::size_t row_begin, std::size_t row_end);
-
-/// Dot product on the fixed lane grid (simd::DotLanes), runtime-dispatched.
+/// Dot product on the fixed lane grid (simd::DotLanes) on the native backend.
 double Dot(const double* x, const double* y, std::size_t n);
 
-/// y += alpha·x, runtime-dispatched (value-neutral vs the scalar loop).
+/// y += alpha·x on the native backend (value-neutral vs the scalar loop).
 void Axpy(double alpha, const double* x, double* y, std::size_t n);
 
-/// c = a∘b elementwise, runtime-dispatched (value-neutral).
+/// c = a∘b elementwise on the native backend (value-neutral).
 void Hadamard(const double* a, const double* b, double* c, std::size_t n);
 
 }  // namespace umvsc::la::kernel

@@ -1,9 +1,9 @@
 #ifndef UMVSC_LA_GEMM_KERNEL_IMPL_H_
 #define UMVSC_LA_GEMM_KERNEL_IMPL_H_
 
-// Register-blocked, packed-panel GEMM — the template both dispatch flavors
-// (native SIMD and scalar-forced) instantiate. Included only by
-// gemm_kernel.cc and gemm_kernel_scalar.cc.
+// Register-blocked, packed-panel GEMM, a template over the 4-lane backend
+// (la/simd.h). gemm_kernel.cc instantiates it on simd::NativeVec4; tests
+// instantiate it on simd::ScalarVec4 to check the two agree.
 //
 // Structure (BLIS-style, specialized to row-major operands):
 //
@@ -255,12 +255,6 @@ void GemmAddPackedImpl(const Operand& a, const PackedB& b, double* c,
       [&](std::size_t kk, std::size_t) { return b.strips.data() + width * kk; },
       c, c_stride, row_begin, row_end);
 }
-
-/// The scalar-forced instantiation of GemmAddPackedImpl, compiled in
-/// gemm_kernel_scalar.cc with auto-vectorization off.
-void GemmAddPackedScalar(const Operand& a, const PackedB& b, double* c,
-                         std::size_t c_stride, std::size_t row_begin,
-                         std::size_t row_end);
 
 }  // namespace umvsc::la::kernel::detail
 

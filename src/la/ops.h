@@ -11,7 +11,7 @@ namespace umvsc::la {
 /// register-blocked SIMD kernel (la/gemm_kernel.h), row-block-parallel on
 /// the global thread pool (see common/parallel.h); the accumulation grid
 /// is a pure function of the shape, so the result is bitwise identical at
-/// every thread count and across the SIMD/scalar dispatch paths.
+/// every thread count and across SIMD and scalar builds.
 /// Thread-safe for concurrent callers on distinct outputs.
 Matrix MatMul(const Matrix& a, const Matrix& b);
 

@@ -15,16 +15,15 @@
 //
 // The backend is selected at COMPILE time from the architecture macros
 // (override with -DUMVSC_DISABLE_SIMD to force the scalar fallback); the
-// runtime kill switch lives in gemm_kernel.h (`UMVSC_SIMD=off`), which
-// dispatches kernels to ScalarVec4 instead of NativeVec4.
+// kernels in gemm_kernel.h run NativeVec4, the selected backend.
 //
 // Determinism: all backends perform the identical sequence of IEEE-754
 // mul/add operations per lane — MulAdd is an UNFUSED multiply-then-add
 // everywhere (no FMA intrinsics), and ReduceAdd combines lanes on one
-// fixed tree: (l0 + l2) + (l1 + l3). SIMD and scalar dispatch therefore
-// agree bitwise on x86 builds; on targets whose compiler contracts the
+// fixed tree: (l0 + l2) + (l1 + l3). SIMD and scalar builds therefore
+// agree bitwise on x86; on targets whose compiler contracts the
 // scalar fallback's a*b + c into an FMA (e.g. aarch64 at the default
-// -ffp-contract=fast), the two dispatches may differ by at most 1 ULP per
+// -ffp-contract=fast), the two backends may differ by at most 1 ULP per
 // accumulated term (see docs/THREADING.md, "SIMD accumulation grid").
 
 #include <cstddef>
@@ -48,10 +47,10 @@ namespace umvsc::la::simd {
 /// header accumulate on a fixed grid of kSimdLanes-wide blocks.
 inline constexpr std::size_t kSimdLanes = 4;
 
-/// Scalar emulation of the 4-lane register: always available, used by the
-/// runtime `UMVSC_SIMD=off` dispatch and by builds with
-/// -DUMVSC_DISABLE_SIMD. Lane-for-lane it performs the same arithmetic as
-/// the hardware backends.
+/// Scalar emulation of the 4-lane register: always available, it is
+/// NativeVec4 in builds with -DUMVSC_DISABLE_SIMD and on targets without
+/// AVX2/SSE2/NEON. Lane-for-lane it performs the same arithmetic as the
+/// hardware backends.
 struct ScalarVec4 {
   static constexpr const char* kName = "scalar";
   struct Reg {
@@ -182,9 +181,9 @@ using NativeVec4 = ScalarVec4;
 inline const char* NativeBackendName() { return NativeVec4::kName; }
 
 // ---------------------------------------------------------------------------
-// Generic lane kernels. Each is a template over the backend V so the
-// runtime dispatch (gemm_kernel.h) can instantiate both the native and the
-// scalar-forced flavor of one accumulation grid.
+// Generic lane kernels. Each is a template over the backend V: gemm_kernel.h
+// instantiates the native backend, and tests instantiate ScalarVec4 on the
+// same accumulation grid to check the two agree.
 // ---------------------------------------------------------------------------
 
 /// x·y with the fixed lane grid: lane l accumulates elements l, l+4, l+8, …

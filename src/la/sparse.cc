@@ -5,6 +5,7 @@
 
 #include "common/parallel.h"
 #include "la/gemm_kernel.h"
+#include "la/simd.h"
 
 namespace umvsc::la {
 
@@ -24,22 +25,24 @@ constexpr std::size_t kSkinnyMaxWidth = 12;
 
 // Skinny-panel row kernel: the whole b-wide accumulator row lives in
 // registers while a CSR row's nonzeros stream by — R4 4-lane register
-// groups (la/simd.h) plus R1 scalar remainder columns, b = 4·R4 + R1.
-// Fully unrolled at compile time, so the per-nonzero cost is one broadcast
-// plus R4 MulAdds — no runtime-dispatched call, no accumulator-block setup.
+// groups (la/simd.h, the native backend) plus R1 scalar remainder columns,
+// b = 4·R4 + R1. Fully unrolled at compile time, so the per-nonzero cost is
+// one broadcast plus R4 MulAdds — no out-of-line call, no accumulator-block
+// setup.
 //
 // Determinism: column j's accumulator sees exactly one UNFUSED v·x add per
 // nonzero in CSR order (V::MulAdd is unfused on every backend), and the
 // epilogue performs the same `y[j] += alpha·acc[j]` unfused mul/add as the
 // generic kernel — so the skinny path is bitwise identical to the generic
 // cache-blocked kernel, to b independent per-column SpMVs, and across
-// SIMD/scalar dispatch and every thread count.
-template <class V, std::size_t R4, std::size_t R1>
+// SIMD/scalar builds and every thread count.
+template <std::size_t R4, std::size_t R1>
 void SpmmRowsSkinny(const std::size_t* row_offsets,
                     const std::size_t* col_indices, const double* values,
                     const double* x, std::size_t x_stride, double* y,
                     std::size_t y_stride, double alpha, std::size_t lo,
                     std::size_t hi) {
+  using V = simd::NativeVec4;
   for (std::size_t r = lo; r < hi; ++r) {
     typename V::Reg acc[R4 > 0 ? R4 : 1];
     double s[R1 > 0 ? R1 : 1];
@@ -78,17 +81,13 @@ using SkinnyRowFn = void (*)(const std::size_t*, const std::size_t*,
                              double*, std::size_t, double, std::size_t,
                              std::size_t);
 
-// One specialization per width b = 1..12; indexed by b − 1. The signature
-// is backend-independent, so the SimdEnabled() dispatch just picks a table.
-template <class V>
+// One specialization per width b = 1..12; indexed by b − 1.
 SkinnyRowFn SkinnyKernelFor(std::size_t b) {
   static constexpr SkinnyRowFn kTable[kSkinnyMaxWidth] = {
-      SpmmRowsSkinny<V, 0, 1>, SpmmRowsSkinny<V, 0, 2>,
-      SpmmRowsSkinny<V, 0, 3>, SpmmRowsSkinny<V, 1, 0>,
-      SpmmRowsSkinny<V, 1, 1>, SpmmRowsSkinny<V, 1, 2>,
-      SpmmRowsSkinny<V, 1, 3>, SpmmRowsSkinny<V, 2, 0>,
-      SpmmRowsSkinny<V, 2, 1>, SpmmRowsSkinny<V, 2, 2>,
-      SpmmRowsSkinny<V, 2, 3>, SpmmRowsSkinny<V, 3, 0>};
+      SpmmRowsSkinny<0, 1>, SpmmRowsSkinny<0, 2>, SpmmRowsSkinny<0, 3>,
+      SpmmRowsSkinny<1, 0>, SpmmRowsSkinny<1, 1>, SpmmRowsSkinny<1, 2>,
+      SpmmRowsSkinny<1, 3>, SpmmRowsSkinny<2, 0>, SpmmRowsSkinny<2, 1>,
+      SpmmRowsSkinny<2, 2>, SpmmRowsSkinny<2, 3>, SpmmRowsSkinny<3, 0>};
   return kTable[b - 1];
 }
 }  // namespace
@@ -206,10 +205,8 @@ void CsrMatrix::MultiplyInto(const Matrix& x, Matrix& y, double alpha) const {
   if (b <= kSkinnyMaxWidth) {
     // Register-resident skinny path — bitwise identical to the generic
     // kernel below (see SpmmRowsSkinny), just without the per-nonzero
-    // dispatched Axpy call that dominates at small b.
-    const SkinnyRowFn fn = kernel::SimdEnabled()
-                               ? SkinnyKernelFor<simd::NativeVec4>(b)
-                               : SkinnyKernelFor<simd::ScalarVec4>(b);
+    // out-of-line Axpy call that dominates at small b.
+    const SkinnyRowFn fn = SkinnyKernelFor(b);
     ParallelFor(0, rows_, kSpRowGrain, [&](std::size_t lo, std::size_t hi) {
       fn(row_offsets_.data(), col_indices_.data(), values_.data(), x.data(),
          x.cols(), y.data(), y.cols(), alpha, lo, hi);

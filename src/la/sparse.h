@@ -72,9 +72,9 @@ class CsrMatrix {
   /// scalar remainder (la/simd.h) while the row's nonzeros stream by. Wider
   /// panels use the cache-blocked generic kernel. Both paths accumulate
   /// each output element's nonzeros unfused in CSR order, so the result is
-  /// bitwise identical across thread counts, across the skinny/generic and
-  /// SIMD/scalar dispatches, AND equal to b independent MultiplyInto calls
-  /// on the columns (parallel_determinism_test relies on this).
+  /// bitwise identical across thread counts, across the skinny/generic
+  /// paths and SIMD/scalar builds, AND equal to b independent MultiplyInto
+  /// calls on the columns (parallel_determinism_test relies on this).
   void MultiplyInto(const Matrix& x, Matrix& y, double alpha = 1.0) const;
 
   /// Aᵀ as a new CSR matrix. Counting-sort construction: per-column nnz

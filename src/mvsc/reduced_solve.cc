@@ -95,6 +95,12 @@ StatusOr<ReducedProblem> BuildReducedProblem(
 }
 
 namespace internal {
+namespace {
+
+// Inner GPI iterations of each G-step (warm-started from the incumbent G).
+constexpr std::size_t kGpiIterations = 30;
+
+}  // namespace
 
 Status SolveAlternation(const std::vector<la::CsrMatrix>& laplacians,
                         const la::Matrix* basis, const UnifiedOptions& options,
@@ -250,7 +256,7 @@ Status SolveAlternation(const std::vector<la::CsrMatrix>& laplacians,
     la::MatMulTInto(p_red, rotation, b);
     b.Scale(options.beta);
     cluster::GpiOptions gpi;
-    gpi.max_iterations = options.gpi_iterations;
+    gpi.max_iterations = kGpiIterations;
     StatusOr<cluster::GpiResult> gstep =
         cluster::GeneralizedPowerIteration(a, b, g, gpi);
     if (!gstep.ok()) return gstep.status();

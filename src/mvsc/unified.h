@@ -77,8 +77,6 @@ struct UnifiedOptions {
   /// Column-normalize the indicator (scaled indicator Ŷ) in the
   /// discretization term, as in Yu–Shi.
   bool scale_indicator = true;
-  /// Inner GPI iterations for the F-step.
-  std::size_t gpi_iterations = 30;
   /// Warm-start alternations (fresh eigensolve ↔ weight update, no discrete
   /// coupling) before the joint loop. Without this, a bad uniform-average
   /// embedding can lock the Y↔F alternation into a poor fixed point.

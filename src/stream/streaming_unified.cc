@@ -30,6 +30,16 @@ double SmoothnessFloor(std::size_t num_clusters) {
 constexpr std::size_t kUpdateInitAlternations = 1;
 constexpr std::size_t kUpdateMaxIterations = 8;
 
+// Drift triggers, checked after every incremental update against the
+// baselines recorded at the last full solve. Relative growth of the unified
+// objective beyond kObjectiveDriftTolerance forces a full re-solve (the
+// baseline carries the SmoothnessFloor, so a near-zero objective — excellent
+// clustering — cannot fire the detector on noise-width fluctuations). Same,
+// per view: growth of any smoothness h_v = Tr(GᵀH_vG) beyond
+// kSmoothnessDriftTolerance (relative to its floored baseline) re-solves.
+constexpr double kObjectiveDriftTolerance = 0.25;
+constexpr double kSmoothnessDriftTolerance = 0.60;
+
 }  // namespace
 
 StatusOr<StreamingUnifiedMVSC> StreamingUnifiedMVSC::Create(
@@ -39,10 +49,6 @@ StatusOr<StreamingUnifiedMVSC> StreamingUnifiedMVSC::Create(
   }
   UMVSC_RETURN_IF_ERROR(
       mvsc::ValidateUnifiedOptions(options.unified, /*anchored=*/true));
-  if (options.objective_drift_tolerance < 0.0 ||
-      options.smoothness_drift_tolerance < 0.0) {
-    return Status::InvalidArgument("drift tolerances must be nonnegative");
-  }
   StreamingUnifiedMVSC s;
   s.options_ = options;
   return s;
@@ -276,14 +282,14 @@ Status StreamingUnifiedMVSC::IncrementalUpdate(StreamingUpdateResult* out) {
   const double floor = SmoothnessFloor(options_.unified.num_clusters);
   const double obj_base = std::max(std::fabs(baseline_objective_), floor);
   if (out->objective - baseline_objective_ >
-      options_.objective_drift_tolerance * obj_base) {
+      kObjectiveDriftTolerance * obj_base) {
     reason = "drift:objective";
   } else {
     for (std::size_t v = 0; v < out->view_smoothness.size(); ++v) {
       const double base =
           v < baseline_smoothness_.size() ? baseline_smoothness_[v] : 0.0;
       if (out->view_smoothness[v] - base >
-          options_.smoothness_drift_tolerance * std::max(base, floor)) {
+          kSmoothnessDriftTolerance * std::max(base, floor)) {
         reason = "drift:view-smoothness";
         break;
       }

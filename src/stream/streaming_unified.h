@@ -33,18 +33,6 @@ struct StreamingOptions {
   /// baseline the warm-vs-cold parity test measures against.
   bool warm_updates = true;
 
-  /// Drift triggers, checked after every incremental update against the
-  /// baselines recorded at the last full solve. Relative growth of the
-  /// unified objective beyond this tolerance forces a full re-solve (the
-  /// baseline carries a small absolute floor scaled by the cluster count,
-  /// so a near-zero objective — excellent clustering — cannot fire the
-  /// detector on noise-width fluctuations).
-  double objective_drift_tolerance = 0.25;
-  /// Same, per view: growth of any smoothness h_v = Tr(GᵀH_vG) beyond this
-  /// relative tolerance (with a small absolute floor on the baseline, so a
-  /// view that was near-perfectly smooth cannot fire on noise) re-solves.
-  double smoothness_drift_tolerance = 0.60;
-
   /// Oracle mode: every Ingest runs a full cold re-solve (no incremental
   /// path at all). This is the reference the drift bench compares
   /// cumulative ARI and latency against.
@@ -114,7 +102,7 @@ struct StreamingUpdateResult {
 class StreamingUnifiedMVSC {
  public:
   /// Rejects what the batch solvers reject (mvsc::ValidateUnifiedOptions,
-  /// anchored) plus an invalid window or drift tolerance.
+  /// anchored) plus a window capacity below 2.
   static StatusOr<StreamingUnifiedMVSC> Create(const StreamingOptions& options);
 
   /// Ingests one mini-batch (same views/dims on every call). Appends the

@@ -4,7 +4,6 @@
 
 #include "common/parallel.h"
 #include "common/rng.h"
-#include "la/gemm_kernel.h"
 #include "la/lanczos.h"
 #include "la/ops.h"
 #include "la/sym_eigen.h"
@@ -244,8 +243,8 @@ CsrMatrix IrregularSparse(std::size_t n, std::uint64_t seed) {
 
 // The width-specialized skinny SpMM must be bitwise identical to the
 // generic cache-blocked kernel it replaces at b <= 12, at every thread
-// count, under both SIMD and scalar dispatch — the eigensolver's
-// determinism contract leans on all of it.
+// count — the eigensolver's determinism contract leans on it. The
+// -DUMVSC_DISABLE_SIMD build runs this test on the scalar backend.
 TEST(SkinnySpmmTest, BitwiseMatchesGenericKernelAcrossThreadCounts) {
   const std::size_t n = 257;  // not a multiple of the row grain
   CsrMatrix a = IrregularSparse(n, 91);
@@ -266,19 +265,11 @@ TEST(SkinnySpmmTest, BitwiseMatchesGenericKernelAcrossThreadCounts) {
       Matrix skinny(n, b);
       skinny.Fill(0.5);
       a.MultiplyInto(x, skinny, 1.25);
-      Matrix scalar_skinny(n, b);
-      {
-        kernel::ScopedForceScalar force_scalar;
-        scalar_skinny.Fill(0.5);
-        a.MultiplyInto(x, scalar_skinny, 1.25);
-      }
       for (std::size_t i = 0; i < reference.size(); ++i) {
         ASSERT_EQ(reference.data()[i], generic.data()[i])
             << "generic kernel drifted at b=" << b << " threads=" << threads;
         ASSERT_EQ(reference.data()[i], skinny.data()[i])
             << "skinny kernel differs at b=" << b << " threads=" << threads;
-        ASSERT_EQ(reference.data()[i], scalar_skinny.data()[i])
-            << "scalar skinny differs at b=" << b << " threads=" << threads;
       }
     }
   }

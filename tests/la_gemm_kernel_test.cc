@@ -1,12 +1,14 @@
 // The packed GEMM kernel contract (src/la/gemm_kernel.h): C accumulates on
 // the fixed kc grid — per element, serial ascending p within each kc block,
 // blocks added in ascending order — independent of the row range, the
-// register tile, edge handling, and the dispatch backend. The reference
-// below implements that grid longhand with unfused mul/add, so on x86 every
+// register tile, edge handling, and the SIMD backend. The reference below
+// implements that grid longhand with unfused mul/add, so on x86 every
 // comparison is exact; adversarial shapes sweep all the edge-handling paths
 // (dims that are not multiples of the 4x8 tile, 0- and 1-sized dims, and
 // k past the kc=256 block edge). The packed-B entry must give the bits of
-// the unpacked one on every shape, row range and dispatch.
+// the unpacked one on every shape and row range. Each shape also runs the
+// simd::ScalarVec4 instantiations of both kernel templates — the code a
+// -DUMVSC_DISABLE_SIMD build runs — against the native entries.
 
 #include <algorithm>
 #include <cmath>
@@ -17,14 +19,16 @@
 #include "common/parallel.h"
 #include "gtest/gtest.h"
 #include "la/gemm_kernel.h"
+#include "la/gemm_kernel_impl.h"
+#include "la/simd.h"
 
 namespace umvsc::la::kernel {
 namespace {
 
 #if defined(__x86_64__) || defined(_M_X64)
-constexpr bool kBitwiseDispatch = true;
+constexpr bool kBitwiseBackends = true;
 #else
-constexpr bool kBitwiseDispatch = false;
+constexpr bool kBitwiseBackends = false;
 #endif
 
 constexpr std::size_t kKcGrid = kKc;
@@ -66,7 +70,7 @@ void ExpectClose(const std::vector<double>& got,
                  const char* label) {
   ASSERT_EQ(got.size(), want.size()) << label;
   for (std::size_t i = 0; i < got.size(); ++i) {
-    if (kBitwiseDispatch) {
+    if (kBitwiseBackends) {
       EXPECT_EQ(got[i], want[i]) << label << " element " << i;
     } else {
       const double tol = 1e-15 * static_cast<double>(k + 1);
@@ -101,13 +105,11 @@ void CheckShape(std::size_t m, std::size_t n, std::size_t k, bool a_trans,
 
   std::vector<double> got_scalar(want.size());
   for (std::size_t i = 0; i < got_scalar.size(); ++i) got_scalar[i] = c0[i];
-  GemmAddScalar(n, k, a, b, got_scalar.data(), n, 0, m);
-  // The scalar-forced instantiation shares the exact grid: bitwise on x86.
+  detail::GemmAddImpl<simd::ScalarVec4>(n, k, a, b, got_scalar.data(), n, 0,
+                                        m);
+  // The scalar instantiation shares the exact grid: bitwise on x86.
   ExpectClose(got_scalar, want, k, "scalar");
-  if (kBitwiseDispatch && !got.empty()) {
-    EXPECT_EQ(0, std::memcmp(got.data(), got_scalar.data(),
-                             got.size() * sizeof(double)));
-  }
+  ExpectClose(got_scalar, got, k, "scalar vs native");
 }
 
 TEST(GemmKernelTest, AdversarialShapesMatchTheReferenceGrid) {
@@ -195,7 +197,7 @@ TEST(GemmKernelTest, StridedOutputLeavesGapsUntouched) {
   for (std::size_t i = 0; i < m; ++i) {
     for (std::size_t j = 0; j < c_stride; ++j) {
       if (j < n) {
-        if (kBitwiseDispatch) {
+        if (kBitwiseBackends) {
           EXPECT_EQ(c[i * c_stride + j], want[i * c_stride + j]);
         } else {
           EXPECT_NEAR(c[i * c_stride + j], want[i * c_stride + j], 1e-13);
@@ -207,40 +209,16 @@ TEST(GemmKernelTest, StridedOutputLeavesGapsUntouched) {
   }
 }
 
-TEST(GemmKernelTest, DispatchPathsAgreeUnderScopedForceScalar) {
-  const std::size_t m = 31, n = 27, k = 300;
-  const std::vector<double> a_buf = TestMatrix(m, k, 0.5);
-  const std::vector<double> b_buf = TestMatrix(k, n, 1.5);
-  const Operand a{a_buf.data(), k, false};
-  const Operand b{b_buf.data(), n, false};
-
-  std::vector<double> native(m * n, 0.0);
-  GemmAdd(n, k, a, b, native.data(), n, 0, m);
-
-  std::vector<double> forced(m * n, 0.0);
-  {
-    ScopedForceScalar force;
-    GemmAdd(n, k, a, b, forced.data(), n, 0, m);
-  }
-  if (kBitwiseDispatch) {
-    EXPECT_EQ(0, std::memcmp(native.data(), forced.data(),
-                             native.size() * sizeof(double)));
-  } else {
-    for (std::size_t i = 0; i < native.size(); ++i) {
-      EXPECT_NEAR(native[i], forced[i], 1e-15 * static_cast<double>(k));
-    }
-  }
-}
-
-// The packed-B entry against the unpacked one, on the active dispatch: the
-// whole range, every single-row range (the one-row register kernel, also
-// on the unpacked entry) and an uneven row partition must all reproduce
-// the unpacked whole-range bits — and the reference grid.
+// The packed-B entry against the unpacked one: the whole range, every
+// single-row range (the one-row register kernel, also on the unpacked
+// entry) and an uneven row partition must all reproduce the unpacked
+// whole-range bits — and the reference grid. The packed entry's scalar
+// instantiation must agree with the native one.
 void CheckPackedShape(std::size_t m, std::size_t n, std::size_t k,
                       bool a_trans, bool b_trans) {
   SCOPED_TRACE(::testing::Message()
                << "m=" << m << " n=" << n << " k=" << k << " aT=" << a_trans
-               << " bT=" << b_trans << " backend=" << ActiveBackendName());
+               << " bT=" << b_trans);
   const std::vector<double> a_buf =
       a_trans ? TestMatrix(k, m, 0.0) : TestMatrix(m, k, 0.0);
   const std::vector<double> b_buf =
@@ -263,7 +241,7 @@ void CheckPackedShape(std::size_t m, std::size_t n, std::size_t k,
   auto expect_bitwise = [&](const std::vector<double>& got, const char* what) {
     ASSERT_EQ(got.size(), want.size()) << what;
     for (std::size_t i = 0; i < got.size(); ++i) {
-      // Same dispatch, same grid: bitwise on every target.
+      // Same backend, same grid: bitwise on every target.
       EXPECT_EQ(got[i], want[i]) << what << " element " << i;
     }
   };
@@ -291,29 +269,31 @@ void CheckPackedShape(std::size_t m, std::size_t n, std::size_t k,
     lo = hi;
   }
   expect_bitwise(pieced, "packed partition");
+
+  std::vector<double> scalar = c0;
+  detail::GemmAddPackedImpl<simd::ScalarVec4>(a, packed, scalar.data(), n, 0,
+                                              m);
+  ExpectClose(scalar, want, k, "packed scalar vs native");
 }
 
-TEST(GemmKernelTest, PackedEntryMatchesGemmAddOnBothDispatches) {
+TEST(GemmKernelTest, PackedEntryMatchesGemmAdd) {
   const std::size_t ms[] = {1, 2, 3, 5, 9, 17, 33, 65};
   // n below, at and past the 8-wide strip, odd strip counts included;
   // n = 0 and k = 0 are no-ops.
   const std::size_t ns[] = {0, 1, 3, 7, 8, 9, 15, 16, 17, 31, 33};
   const std::size_t ks[] = {0, 1, 3, kKc - 1, kKc, kKc + 1, 3 * kKc + 17};
-  for (bool force_scalar : {false, true}) {
-    ScopedForceScalar force(force_scalar);
-    for (std::size_t m : ms) {
-      for (std::size_t n : ns) {
-        for (std::size_t k : ks) {
-          CheckPackedShape(m, n, k, false, false);
-          CheckPackedShape(m, n, k, false, true);
-        }
+  for (std::size_t m : ms) {
+    for (std::size_t n : ns) {
+      for (std::size_t k : ks) {
+        CheckPackedShape(m, n, k, false, false);
+        CheckPackedShape(m, n, k, false, true);
       }
     }
-    for (bool a_trans : {false, true}) {
-      for (bool b_trans : {false, true}) {
-        CheckPackedShape(13, 21, 37, a_trans, b_trans);
-        CheckPackedShape(1, 21, kKc + 5, a_trans, b_trans);
-      }
+  }
+  for (bool a_trans : {false, true}) {
+    for (bool b_trans : {false, true}) {
+      CheckPackedShape(13, 21, 37, a_trans, b_trans);
+      CheckPackedShape(1, 21, kKc + 5, a_trans, b_trans);
     }
   }
 }

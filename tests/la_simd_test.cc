@@ -1,6 +1,6 @@
 // The SIMD abstraction contract (src/la/simd.h): every backend performs
 // the identical sequence of unfused IEEE-754 operations on the fixed
-// 4-lane grid, so the native dispatch and the scalar emulation agree
+// 4-lane grid, so the native backend and the scalar emulation agree
 // bitwise on x86 (no FMA anywhere) and to <= 1 ULP per accumulated term on
 // targets whose compiler contracts the scalar fallback (aarch64 at
 // -ffp-contract=fast). The ULP-bounded assertions encode that documented
@@ -13,16 +13,15 @@
 #include <vector>
 
 #include "gtest/gtest.h"
-#include "la/gemm_kernel.h"
 #include "la/simd.h"
 
 namespace umvsc::la {
 namespace {
 
 #if defined(__x86_64__) || defined(_M_X64)
-constexpr bool kBitwiseDispatch = true;
+constexpr bool kBitwiseBackends = true;
 #else
-constexpr bool kBitwiseDispatch = false;
+constexpr bool kBitwiseBackends = false;
 #endif
 
 std::vector<double> TestSignal(std::size_t n, double phase) {
@@ -64,27 +63,6 @@ TEST(SimdTest, BackendNamesAreConsistent) {
   EXPECT_TRUE(native == "avx2" || native == "sse2" || native == "neon" ||
               native == "scalar")
       << native;
-  const std::string active = kernel::ActiveBackendName();
-  if (kernel::SimdEnabled()) {
-    EXPECT_EQ(active, native);
-  } else {
-    EXPECT_EQ(active, "scalar");
-  }
-}
-
-TEST(SimdTest, ScopedForceScalarFlipsAndRestoresDispatch) {
-  const bool was_enabled = kernel::SimdEnabled();
-  {
-    kernel::ScopedForceScalar force;
-    EXPECT_FALSE(kernel::SimdEnabled());
-    EXPECT_STREQ(kernel::ActiveBackendName(), "scalar");
-    {
-      kernel::ScopedForceScalar unforce(false);
-      EXPECT_TRUE(kernel::SimdEnabled());
-    }
-    EXPECT_FALSE(kernel::SimdEnabled());
-  }
-  EXPECT_EQ(kernel::SimdEnabled(), was_enabled);
 }
 
 TEST(SimdTest, LanePrimitivesMatchScalarEmulation) {
@@ -126,7 +104,7 @@ TEST(SimdTest, DotLanesFollowsTheDocumentedGrid) {
     EXPECT_EQ(scalar, want) << "n=" << n;
     const double native =
         simd::DotLanes<simd::NativeVec4>(x.data(), y.data(), n);
-    if (kBitwiseDispatch) {
+    if (kBitwiseBackends) {
       EXPECT_EQ(native, scalar) << "n=" << n;
     } else {
       // Documented bound: <= 1 ULP of contraction slack per accumulated
@@ -153,7 +131,7 @@ TEST(SimdTest, AxpyAndMulLanesAreValueNeutral) {
     simd::AxpyLanes<simd::ScalarVec4>(-0.75, x.data(), got_scalar.data(), n);
     for (std::size_t i = 0; i < n; ++i) {
       EXPECT_EQ(got_scalar[i], want[i]) << "axpy n=" << n << " i=" << i;
-      if (kBitwiseDispatch) {
+      if (kBitwiseBackends) {
         EXPECT_EQ(got[i], want[i]) << "axpy n=" << n << " i=" << i;
       } else {
         EXPECT_LE(UlpDistance(got[i], want[i]), 1) << "axpy n=" << n;
@@ -165,40 +143,6 @@ TEST(SimdTest, AxpyAndMulLanesAreValueNeutral) {
     for (std::size_t i = 0; i < n; ++i) prod_want[i] = x[i] * y0[i];
     for (std::size_t i = 0; i < n; ++i) {
       EXPECT_EQ(prod_got[i], prod_want[i]) << "mul n=" << n << " i=" << i;
-    }
-  }
-}
-
-TEST(SimdTest, RuntimeDispatchedKernelsAgreeAcrossDispatchPaths) {
-  const std::size_t n = 259;  // exercises lanes + a 3-element tail
-  const std::vector<double> x = TestSignal(n, 0.1);
-  const std::vector<double> y = TestSignal(n, 0.6);
-
-  const double dot_native = kernel::Dot(x.data(), y.data(), n);
-  std::vector<double> axpy_native = y;
-  kernel::Axpy(1.5, x.data(), axpy_native.data(), n);
-  std::vector<double> had_native(n);
-  kernel::Hadamard(x.data(), y.data(), had_native.data(), n);
-
-  kernel::ScopedForceScalar force;
-  const double dot_scalar = kernel::Dot(x.data(), y.data(), n);
-  std::vector<double> axpy_scalar = y;
-  kernel::Axpy(1.5, x.data(), axpy_scalar.data(), n);
-  std::vector<double> had_scalar(n);
-  kernel::Hadamard(x.data(), y.data(), had_scalar.data(), n);
-
-  if (kBitwiseDispatch) {
-    EXPECT_EQ(dot_native, dot_scalar);
-  } else {
-    EXPECT_LE(UlpDistance(dot_native, dot_scalar),
-              static_cast<std::int64_t>(n) + 1);
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(had_native[i], had_scalar[i]) << i;
-    if (kBitwiseDispatch) {
-      EXPECT_EQ(axpy_native[i], axpy_scalar[i]) << i;
-    } else {
-      EXPECT_LE(UlpDistance(axpy_native[i], axpy_scalar[i]), 1) << i;
     }
   }
 }

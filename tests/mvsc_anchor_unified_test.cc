@@ -1,7 +1,8 @@
 // Tests for the anchor (large-scale) mode of the unified solver: planted
 // clusters recovered through the reduced space, label parity with the exact
 // path on the same data, bitwise determinism across thread counts, output
-// invariants, the entry-point contract (anchor mode needs features, and
+// invariants, the metamorphic invariants (feature scale, row order, view
+// order), the entry-point contract (anchor mode needs features, and
 // leaving it disabled must not disturb the exact path), and the reduced
 // problem builder against a dense reference.
 #include "mvsc/anchor_unified.h"
@@ -9,6 +10,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -127,6 +129,96 @@ TEST(AnchorUnifiedTest, ThreadCountDoesNotChangeLabels) {
                               reference.embedding.cols() * sizeof(double)),
               0)
         << "threads=" << threads;
+  }
+}
+
+// Metamorphic invariant of the anchor path: features are z-scored per view
+// before anchors are selected, so multiplying a view's features by a
+// positive constant must leave the partition unchanged. The scales are not
+// powers of two, so the z-scores (and often the labels' bits) differ in
+// rounding; the partition must not.
+TEST(AnchorUnifiedTest, PerViewFeatureScaleKeepsPartition) {
+  const double scales[] = {0.013, 7.3};
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    SCOPED_TRACE(seed);
+    data::MultiViewDataset dataset = MakeDataset(seed);
+    data::MultiViewDataset scaled = dataset;
+    ASSERT_EQ(scaled.NumViews(), std::size(scales));
+    for (std::size_t v = 0; v < scaled.NumViews(); ++v) {
+      scaled.views[v].Scale(scales[v]);
+    }
+    UnifiedMVSC solver(AnchorOptions(4));
+    StatusOr<UnifiedResult> reference = solver.Run(dataset);
+    StatusOr<UnifiedResult> rescaled = solver.Run(scaled);
+    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+    ASSERT_TRUE(rescaled.ok()) << rescaled.status().ToString();
+    StatusOr<double> ari =
+        eval::AdjustedRandIndex(rescaled->labels, reference->labels);
+    ASSERT_TRUE(ari.ok());
+    EXPECT_DOUBLE_EQ(*ari, 1.0);
+  }
+}
+
+// Metamorphic invariant of the anchor path: the model does not depend on
+// the order of the samples, so permuting the rows of every view (the same
+// permutation in each) must permute the labels and nothing else.
+TEST(AnchorUnifiedTest, PermutingRowsPermutesLabels) {
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    SCOPED_TRACE(seed);
+    data::MultiViewDataset dataset = MakeDataset(seed);
+    const std::size_t n = dataset.NumSamples();
+    std::vector<std::size_t> perm(n);
+    for (std::size_t i = 0; i < n; ++i) perm[i] = i;
+    std::mt19937_64 rng(seed);
+    std::shuffle(perm.begin(), perm.end(), rng);
+    data::MultiViewDataset permuted = dataset;
+    for (std::size_t v = 0; v < permuted.NumViews(); ++v) {
+      const la::Matrix& from = dataset.views[v];
+      la::Matrix& to = permuted.views[v];
+      for (std::size_t i = 0; i < n; ++i) {
+        std::copy(from.RowPtr(perm[i]), from.RowPtr(perm[i]) + from.cols(),
+                  to.RowPtr(i));
+      }
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      permuted.labels[i] = dataset.labels[perm[i]];
+    }
+    UnifiedMVSC solver(AnchorOptions(4));
+    StatusOr<UnifiedResult> reference = solver.Run(dataset);
+    StatusOr<UnifiedResult> shuffled = solver.Run(permuted);
+    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+    ASSERT_TRUE(shuffled.ok()) << shuffled.status().ToString();
+
+    std::vector<std::size_t> expected(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      expected[i] = reference->labels[perm[i]];
+    }
+    StatusOr<double> ari = eval::AdjustedRandIndex(shuffled->labels, expected);
+    ASSERT_TRUE(ari.ok());
+    EXPECT_DOUBLE_EQ(*ari, 1.0);
+  }
+}
+
+// Metamorphic invariant of the anchor path: the objective is a sum over
+// views, so reversing the view order must leave the partition unchanged.
+// View v selects its anchors with seed options.seed + 211·(v + 1), so
+// reversal hands each view a different anchor seed and the invariant is not
+// exact by construction; it holds on this fixture (seeds 1–10) even so.
+TEST(AnchorUnifiedTest, ReversingViewsKeepsPartition) {
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    SCOPED_TRACE(seed);
+    data::MultiViewDataset dataset = MakeDataset(seed);
+    data::MultiViewDataset reversed = dataset;
+    std::reverse(reversed.views.begin(), reversed.views.end());
+    UnifiedMVSC solver(AnchorOptions(4));
+    StatusOr<UnifiedResult> forward = solver.Run(dataset);
+    StatusOr<UnifiedResult> backward = solver.Run(reversed);
+    ASSERT_TRUE(forward.ok()) << forward.status().ToString();
+    ASSERT_TRUE(backward.ok()) << backward.status().ToString();
+    StatusOr<double> ari =
+        eval::AdjustedRandIndex(backward->labels, forward->labels);
+    ASSERT_TRUE(ari.ok());
+    EXPECT_DOUBLE_EQ(*ari, 1.0);
   }
 }
 

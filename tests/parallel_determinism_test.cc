@@ -12,7 +12,6 @@
 #include "graph/distance.h"
 #include "graph/knn_graph.h"
 #include "gtest/gtest.h"
-#include "la/gemm_kernel.h"
 #include "la/lanczos.h"
 #include "la/matrix.h"
 #include "la/ops.h"
@@ -110,32 +109,6 @@ TEST(ParallelDeterminismTest,
     add.Add(b, -0.25);
     EXPECT_TRUE(BitwiseEqual(ref_add, add)) << threads;
   }
-}
-
-// The scalar dispatch path (UMVSC_SIMD=off) shares the SIMD path's
-// accumulation grid, so it must be just as thread-count-invariant — and on
-// x86 (no FMA contraction anywhere) it must reproduce the SIMD path's bits
-// exactly.
-TEST(ParallelDeterminismTest, ScalarDispatchIsDeterministicAcrossThreads) {
-  const la::Matrix a = DeterministicMatrix(131, 67, 0.0);
-  const la::Matrix b = DeterministicMatrix(67, 89, 1.0);
-  la::Matrix simd_result;
-  {
-    ScopedNumThreads baseline(1);
-    simd_result = la::MatMul(a, b);
-  }
-  la::kernel::ScopedForceScalar force;
-  ScopedNumThreads baseline(1);
-  const la::Matrix ref = la::MatMul(a, b);
-  const la::Matrix ref_gram = la::Gram(a);
-  for (std::size_t threads : kThreadCounts) {
-    ScopedNumThreads scope(threads);
-    EXPECT_TRUE(BitwiseEqual(ref, la::MatMul(a, b))) << threads;
-    EXPECT_TRUE(BitwiseEqual(ref_gram, la::Gram(a))) << threads;
-  }
-#if defined(__x86_64__) || defined(_M_X64)
-  EXPECT_TRUE(BitwiseEqual(simd_result, ref));
-#endif
 }
 
 TEST(ParallelDeterminismTest, QuadraticTraceIsBitwiseIdenticalAcrossThreads) {
