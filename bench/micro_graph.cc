@@ -1,9 +1,11 @@
 // Micro-benchmarks of the graph substrate: pairwise distances, self-tuning
-// kernel, kNN sparsification, Laplacian assembly.
+// kernel, kNN sparsification, Laplacian assembly, and the anchor path's
+// landmark selection and bipartite affinity.
 
 #include <benchmark/benchmark.h>
 
 #include "common/rng.h"
+#include "graph/anchors.h"
 #include "graph/distance.h"
 #include "graph/kernels.h"
 #include "graph/knn_graph.h"
@@ -73,6 +75,40 @@ void BM_AdaptiveNeighborGraph(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AdaptiveNeighborGraph)->Arg(200)->Arg(1000);
+
+// Anchor shapes as {n, d}, m = 256: 400 × 1024 is a serving-size view (the
+// selection's candidate pool is all 400 rows), 200 000 × 8 a large
+// low-dimensional one (a 2 048-candidate pool).
+void BM_SelectAnchors(benchmark::State& state) {
+  la::Matrix x = RandomData(static_cast<std::size_t>(state.range(0)),
+                            static_cast<std::size_t>(state.range(1)), 6);
+  graph::AnchorOptions options;
+  options.num_anchors = 256;
+  for (auto _ : state) {
+    auto anchors = graph::SelectAnchors(x, options);
+    benchmark::DoNotOptimize(anchors);
+  }
+}
+BENCHMARK(BM_SelectAnchors)
+    ->Args({400, 1024})
+    ->Args({200000, 8})
+    ->Unit(benchmark::kMillisecond);
+
+void BM_BuildAnchorAffinity(benchmark::State& state) {
+  la::Matrix x = RandomData(static_cast<std::size_t>(state.range(0)),
+                            static_cast<std::size_t>(state.range(1)), 7);
+  graph::AnchorOptions options;
+  options.num_anchors = 256;
+  la::Matrix anchors = *graph::SelectAnchors(x, options);
+  for (auto _ : state) {
+    auto z = graph::BuildAnchorAffinity(x, anchors);
+    benchmark::DoNotOptimize(z);
+  }
+}
+BENCHMARK(BM_BuildAnchorAffinity)
+    ->Args({400, 1024})
+    ->Args({200000, 8})
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -32,8 +32,10 @@ thread_local bool tl_in_parallel = false;
 thread_local const ParallelContext* tl_parallel_context = nullptr;
 
 // A single shared pool of blocked workers. Jobs are broadcast: every worker
-// wakes on a generation bump, claims spans from an atomic cursor until none
-// remain, and the last one out signals completion. Workers are created
+// wakes on a generation bump and, if the job is still posted, joins it and
+// claims spans from an atomic cursor until none remain; the caller withdraws
+// the job once every span is claimed and waits only for the workers that
+// joined, so a slow waker never delays a finished region. Workers are created
 // lazily and only ever added, never destroyed before process exit.
 class ThreadPool {
  public:
@@ -55,14 +57,17 @@ class ThreadPool {
       job_fn_ = &fn;
       job_spans_ = num_spans;
       next_span_.store(0, std::memory_order_relaxed);
-      active_workers_ = workers_.size();
+      active_workers_ = 0;
       ++generation_;
     }
     work_cv_.notify_all();
     ExecuteSpans(fn, num_spans);
+    // Every span is claimed. Withdraw the job so a worker that wakes from
+    // now on finds nothing and stays out, then wait only for the workers
+    // that joined (they may still be running their last span).
     std::unique_lock<std::mutex> lock(mu_);
-    done_cv_.wait(lock, [&] { return active_workers_ == 0; });
     job_fn_ = nullptr;
+    done_cv_.wait(lock, [&] { return active_workers_ == 0; });
     if (first_error_) {
       std::exception_ptr error = first_error_;
       first_error_ = nullptr;
@@ -94,12 +99,12 @@ class ThreadPool {
         seen_generation = generation_;
         fn = job_fn_;
         spans = job_spans_;
+        if (fn == nullptr) continue;  // woke after the job was withdrawn
+        ++active_workers_;
       }
-      if (fn != nullptr) ExecuteSpans(*fn, spans);
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (--active_workers_ == 0) done_cv_.notify_one();
-      }
+      ExecuteSpans(*fn, spans);
+      std::lock_guard<std::mutex> lock(mu_);
+      if (--active_workers_ == 0) done_cv_.notify_one();
     }
   }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -9,26 +10,51 @@
 #include "common/rng.h"
 #include "graph/distance.h"
 #include "graph/tiled_select.h"
+#include "la/ops.h"
+#include "la/simd.h"
 
 namespace umvsc::graph {
 
 namespace {
 
-// Squared Euclidean distance between a candidate row and a center row,
-// accumulated in ascending-feature order (the determinism convention of
-// every distance kernel in this library).
-double RowSquaredDistance(const double* a, const double* b, std::size_t d) {
-  double s = 0.0;
+using V = la::simd::NativeVec4;
+
+// Candidates per lane block: two NativeVec4 registers.
+constexpr std::size_t kBlock = 2 * la::simd::kSimdLanes;
+
+// Candidate blocks per ParallelFor chunk when each block meets `centers`
+// centers in one pass: about 2^16 lane mul-adds per chunk, a function of the
+// shape alone, so short feature vectors run inline instead of waking the pool.
+std::size_t BlockGrain(std::size_t d, std::size_t centers) {
+  return std::max<std::size_t>(
+      1, (std::size_t{1} << 16) / (kBlock * d * centers));
+}
+
+// Squared distances from the kBlock candidates of one lane block (d × kBlock,
+// feature-major) to `center`. Lane l accumulates acc + diff·diff with
+// diff = c + (−z) — IEEE-equal to c − z — unfused, in ascending feature
+// order: the serial chain of a scalar distance loop, so every lane is
+// bitwise that loop's value.
+void BlockSquaredDistances(const double* block, const double* center,
+                           std::size_t d, double* out) {
+  constexpr std::size_t kLanes = la::simd::kSimdLanes;
+  V::Reg acc0 = V::Zero();
+  V::Reg acc1 = V::Zero();
   for (std::size_t p = 0; p < d; ++p) {
-    const double diff = a[p] - b[p];
-    s += diff * diff;
+    const V::Reg neg = V::Broadcast(-center[p]);
+    const V::Reg diff0 = V::Add(V::Load(block + p * kBlock), neg);
+    const V::Reg diff1 = V::Add(V::Load(block + p * kBlock + kLanes), neg);
+    acc0 = V::MulAdd(diff0, diff0, acc0);
+    acc1 = V::MulAdd(diff1, diff1, acc1);
   }
-  return s;
+  V::Store(out, acc0);
+  V::Store(out + kLanes, acc1);
 }
 
 // k-means++ seeding + a few Lloyd sweeps over a bounded candidate subsample.
-// Entirely serial and driven by `rng`, so the anchors are a pure function of
-// (x, options) — never the thread count.
+// The draws are serial and driven by `rng`; the candidate–center distances
+// run in lane blocks under ParallelFor with write-disjoint spans, so the
+// anchors are a pure function of (x, options) — never the thread count.
 la::Matrix KmeansppRefineAnchors(const la::Matrix& x,
                                  const AnchorOptions& options, Rng& rng) {
   const std::size_t n = x.rows();
@@ -36,31 +62,52 @@ la::Matrix KmeansppRefineAnchors(const la::Matrix& x,
   const std::size_t m = options.num_anchors;
   const std::size_t num_candidates = std::min(
       n, std::max<std::size_t>(options.candidate_factor * m, 1024));
+  const std::vector<std::size_t> ids =
+      rng.SampleWithoutReplacement(n, num_candidates);
 
-  la::Matrix candidates(num_candidates, d);
-  {
-    const std::vector<std::size_t> ids =
-        rng.SampleWithoutReplacement(n, num_candidates);
-    for (std::size_t i = 0; i < num_candidates; ++i) {
-      candidates.SetRow(i, x.Row(ids[i]));
-    }
+  // Candidates in lane blocks: block b holds candidates [b·kBlock, …) as a
+  // d × kBlock feature-major panel, the last block zero-padded.
+  const std::size_t num_blocks = (num_candidates + kBlock - 1) / kBlock;
+  std::vector<double> lanes(num_blocks * d * kBlock, 0.0);
+  for (std::size_t i = 0; i < num_candidates; ++i) {
+    const double* row = x.RowPtr(ids[i]);
+    double* block = lanes.data() + (i / kBlock) * d * kBlock + i % kBlock;
+    for (std::size_t p = 0; p < d; ++p) block[p * kBlock] = row[p];
   }
+  const auto block_ptr = [&](std::size_t b) {
+    return lanes.data() + b * d * kBlock;
+  };
+  const auto block_size = [&](std::size_t b) {
+    return std::min(kBlock, num_candidates - b * kBlock);
+  };
 
   // Seeding: first center uniform, each next center drawn with probability
   // proportional to the candidate's squared distance to its nearest chosen
   // center. When every remaining candidate coincides with a chosen center
   // (total weight 0 — duplicated data), fall back to the smallest unchosen
-  // candidate index so exactly m centers always come back.
+  // candidate index so exactly m centers always come back. min_d2 starts at
+  // +∞, so the first center's pass sets it.
   la::Matrix centers(m, d);
-  std::vector<double> min_d2(num_candidates, 0.0);
+  std::vector<double> min_d2(num_candidates,
+                             std::numeric_limits<double>::infinity());
   std::vector<bool> chosen(num_candidates, false);
-  std::size_t first = static_cast<std::size_t>(rng.UniformInt(num_candidates));
-  centers.SetRow(0, candidates.Row(first));
-  chosen[first] = true;
-  for (std::size_t i = 0; i < num_candidates; ++i) {
-    min_d2[i] =
-        RowSquaredDistance(candidates.RowPtr(i), centers.RowPtr(0), d);
-  }
+  const std::size_t seed_grain = BlockGrain(d, 1);
+  const auto add_center = [&](std::size_t t, std::size_t pick) {
+    const double* row = x.RowPtr(ids[pick]);
+    std::copy(row, row + d, centers.RowPtr(t));
+    chosen[pick] = true;
+    ParallelFor(0, num_blocks, seed_grain, [&](std::size_t lo, std::size_t hi) {
+      double d2[kBlock];
+      for (std::size_t b = lo; b < hi; ++b) {
+        BlockSquaredDistances(block_ptr(b), centers.RowPtr(t), d, d2);
+        double* mins = min_d2.data() + b * kBlock;
+        for (std::size_t l = 0; l < block_size(b); ++l) {
+          if (d2[l] < mins[l]) mins[l] = d2[l];
+        }
+      }
+    });
+  };
+  add_center(0, static_cast<std::size_t>(rng.UniformInt(num_candidates)));
   for (std::size_t t = 1; t < m; ++t) {
     double total = 0.0;
     for (double w : min_d2) total += w;
@@ -76,41 +123,43 @@ la::Matrix KmeansppRefineAnchors(const la::Matrix& x,
       }
       if (pick == num_candidates) pick = t % num_candidates;
     }
-    centers.SetRow(t, candidates.Row(pick));
-    chosen[pick] = true;
-    for (std::size_t i = 0; i < num_candidates; ++i) {
-      const double d2 =
-          RowSquaredDistance(candidates.RowPtr(i), centers.RowPtr(t), d);
-      if (d2 < min_d2[i]) min_d2[i] = d2;
-    }
+    add_center(t, pick);
   }
 
-  // Lloyd refinement restricted to the candidate subsample. Assignment ties
-  // keep the smaller center index; an empty cluster keeps its previous
-  // center (it stays a valid landmark).
+  // Lloyd refinement restricted to the candidate subsample. Each lane block
+  // stays in cache while the centers stream past in ascending order; a
+  // strict < per lane keeps ties on the smaller center index. An empty
+  // cluster keeps its previous center (it stays a valid landmark).
   std::vector<std::size_t> assign(num_candidates, 0);
   la::Matrix sums(m, d);
   std::vector<std::size_t> counts(m, 0);
+  const std::size_t sweep_grain = BlockGrain(d, m);
   for (std::size_t sweep = 0; sweep < options.refine_iterations; ++sweep) {
-    for (std::size_t i = 0; i < num_candidates; ++i) {
-      double best = RowSquaredDistance(candidates.RowPtr(i),
-                                       centers.RowPtr(0), d);
-      std::size_t best_j = 0;
-      for (std::size_t j = 1; j < m; ++j) {
-        const double d2 =
-            RowSquaredDistance(candidates.RowPtr(i), centers.RowPtr(j), d);
-        if (d2 < best) {
-          best = d2;
-          best_j = j;
+    ParallelFor(0, num_blocks, sweep_grain, [&](std::size_t lo,
+                                                std::size_t hi) {
+      double best[kBlock];
+      double d2[kBlock];
+      std::size_t best_j[kBlock];
+      for (std::size_t b = lo; b < hi; ++b) {
+        BlockSquaredDistances(block_ptr(b), centers.RowPtr(0), d, best);
+        std::fill(best_j, best_j + kBlock, 0);
+        for (std::size_t j = 1; j < m; ++j) {
+          BlockSquaredDistances(block_ptr(b), centers.RowPtr(j), d, d2);
+          for (std::size_t l = 0; l < kBlock; ++l) {
+            if (d2[l] < best[l]) {
+              best[l] = d2[l];
+              best_j[l] = j;
+            }
+          }
         }
+        std::copy(best_j, best_j + block_size(b), assign.begin() + b * kBlock);
       }
-      assign[i] = best_j;
-    }
+    });
     sums.Fill(0.0);
     std::fill(counts.begin(), counts.end(), 0);
     for (std::size_t i = 0; i < num_candidates; ++i) {
       double* srow = sums.RowPtr(assign[i]);
-      const double* crow = candidates.RowPtr(i);
+      const double* crow = x.RowPtr(ids[i]);
       for (std::size_t p = 0; p < d; ++p) srow[p] += crow[p];
       counts[assign[i]]++;
     }
@@ -169,10 +218,12 @@ StatusOr<la::CsrMatrix> BuildAnchorAffinity(const la::Matrix& x,
 
   const la::Vector x_norms = RowSquaredNorms(x);
   const la::Vector a_norms = RowSquaredNorms(anchors);
+  const la::Matrix anchors_t = la::Transpose(anchors);
   internal::DirectedSelection sel = internal::TiledSelectRect(
       n, m, s, /*largest=*/false, options.tile_rows,
       [&](std::size_t r0, std::size_t r1, double* panel) {
-        CrossSquaredDistancePanel(x, x_norms, anchors, a_norms, r0, r1, panel);
+        CrossSquaredDistancePanel(x, x_norms, anchors_t, a_norms, r0, r1,
+                                  panel);
       });
 
   // Weight + normalize + column-sort each row. Every row depends only on its

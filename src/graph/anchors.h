@@ -36,9 +36,11 @@ struct AnchorOptions {
   std::uint64_t seed = 0;
 };
 
-/// Selects m anchor points from the rows of `x` (n × d). Entirely serial and
-/// seeded — the result is a pure function of (x, options), independent of
-/// thread count. Requires 1 <= num_anchors <= n.
+/// Selects m anchor points from the rows of `x` (n × d). Seeded, with serial
+/// draws; kKmeansppRefine's candidate–center distances run in SIMD lane
+/// blocks on the pool, every lane the scalar distance loop's chain, so the
+/// result is a pure function of (x, options): the same bits at every thread
+/// count. Requires 1 <= num_anchors <= n.
 ///
 /// kUniform returns the sampled rows in draw order. kKmeansppRefine returns
 /// the refined candidate-subset centroids (anchors need not coincide with

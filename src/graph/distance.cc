@@ -5,6 +5,7 @@
 
 #include "common/parallel.h"
 #include "la/ops.h"
+#include "la/simd.h"
 
 namespace umvsc::graph {
 
@@ -78,20 +79,52 @@ void SquaredDistancePanel(const la::Matrix& x, const la::Vector& sq_norms,
 
 void CrossSquaredDistancePanel(const la::Matrix& x,
                                const la::Vector& x_sq_norms,
-                               const la::Matrix& y,
+                               const la::Matrix& y_t,
                                const la::Vector& y_sq_norms, std::size_t r0,
                                std::size_t r1, double* panel) {
-  const std::size_t m = y.rows();
+  using V = la::simd::NativeVec4;
+  constexpr std::size_t kLanes = la::simd::kSimdLanes;
+  const std::size_t m = y_t.cols();
   const std::size_t d = x.cols();
+  const double* yt = y_t.data();
   for (std::size_t i = r0; i < r1; ++i) {
     const double* ri = x.RowPtr(i);
-    const double ni = x_sq_norms[i];
     double* prow = panel + (i - r0) * m;
-    for (std::size_t j = 0; j < m; ++j) {
-      const double* rj = y.RowPtr(j);
+    // Dots first, four columns of y per register: lane j accumulates
+    // acc + x_ip·y_jp unfused in ascending p, the scalar loop's chain.
+    // Four registers at a time keep four independent chains in flight.
+    std::size_t j = 0;
+    for (; j + 4 * kLanes <= m; j += 4 * kLanes) {
+      V::Reg acc0 = V::Zero(), acc1 = V::Zero();
+      V::Reg acc2 = V::Zero(), acc3 = V::Zero();
+      for (std::size_t p = 0; p < d; ++p) {
+        const V::Reg xp = V::Broadcast(ri[p]);
+        const double* yp = yt + p * m + j;
+        acc0 = V::MulAdd(xp, V::Load(yp), acc0);
+        acc1 = V::MulAdd(xp, V::Load(yp + kLanes), acc1);
+        acc2 = V::MulAdd(xp, V::Load(yp + 2 * kLanes), acc2);
+        acc3 = V::MulAdd(xp, V::Load(yp + 3 * kLanes), acc3);
+      }
+      V::Store(prow + j, acc0);
+      V::Store(prow + j + kLanes, acc1);
+      V::Store(prow + j + 2 * kLanes, acc2);
+      V::Store(prow + j + 3 * kLanes, acc3);
+    }
+    for (; j + kLanes <= m; j += kLanes) {
+      V::Reg acc = V::Zero();
+      for (std::size_t p = 0; p < d; ++p) {
+        acc = V::MulAdd(V::Broadcast(ri[p]), V::Load(yt + p * m + j), acc);
+      }
+      V::Store(prow + j, acc);
+    }
+    for (; j < m; ++j) {
       double s = 0.0;
-      for (std::size_t p = 0; p < d; ++p) s += ri[p] * rj[p];
-      prow[j] = std::max(0.0, ni + y_sq_norms[j] - 2.0 * s);
+      for (std::size_t p = 0; p < d; ++p) s += ri[p] * yt[p * m + j];
+      prow[j] = s;
+    }
+    const double ni = x_sq_norms[i];
+    for (j = 0; j < m; ++j) {
+      prow[j] = std::max(0.0, ni + y_sq_norms[j] - 2.0 * prow[j]);
     }
   }
 }

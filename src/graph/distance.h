@@ -44,18 +44,20 @@ void SquaredDistancePanel(const la::Matrix& x, const la::Vector& sq_norms,
                           std::size_t r0, std::size_t r1, double* panel);
 
 /// Bipartite sibling of SquaredDistancePanel: fills a row-tile panel of
-/// squared distances from rows of `x` to ALL rows of `y`
+/// squared distances from rows of `x` to ALL rows of a second set y, passed
+/// transposed as `y_t` (d × m, e.g. la::Transpose(y), built once per caller)
 ///   panel(i − r0, j) = max(0, ‖x_i‖² + ‖y_j‖² − 2·x_i·y_j)
-/// for i in [r0, r1), j in [0, y.rows()). `x_sq_norms` / `y_sq_norms` must
-/// be RowSquaredNorms of the respective matrices and `panel` must provide
-/// (r1 − r0) × y.rows() entries. No self-skip — the row and column sets are
-/// different objects. Same Gram expansion, ascending dot order, and clamp as
-/// SquaredDistancePanel, so the entries are a pure function of the two rows:
-/// tiled consumers are bitwise identical at every tile size and thread
-/// count. Serial by design: the inner kernel of tile-parallel loops.
+/// for i in [r0, r1), j in [0, m). `x_sq_norms` / `y_sq_norms` must be
+/// RowSquaredNorms of x and y and `panel` must provide (r1 − r0) × m
+/// entries. No self-skip — the row and column sets are different objects.
+/// Four columns of y share one SIMD register, each lane on the scalar dot's
+/// ascending-p unfused chain, so the entries are bitwise those of the plain
+/// Gram expansion with the same clamp as SquaredDistancePanel: a pure
+/// function of the two rows, identical at every tile size and thread count.
+/// Serial by design: the inner kernel of tile-parallel loops.
 void CrossSquaredDistancePanel(const la::Matrix& x,
                                const la::Vector& x_sq_norms,
-                               const la::Matrix& y,
+                               const la::Matrix& y_t,
                                const la::Vector& y_sq_norms, std::size_t r0,
                                std::size_t r1, double* panel);
 

@@ -1,5 +1,6 @@
 #include "common/parallel.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <mutex>
@@ -110,6 +111,27 @@ TEST(ParallelForTest, PoolIsReusedAcrossManyRegions) {
         },
         4);
     ASSERT_EQ(sum.load(), 4950);
+  }
+}
+
+TEST(ParallelForTest, ShortRegionsBackToBackVisitEveryIndexOnce) {
+  // Thousands of short regions at 8 threads, alternating 2 and 8 spans:
+  // most workers wake after a 2-span region's spans are all claimed and
+  // must stay out of it, and out of the next region's cursor. Plain ints,
+  // so a visit outside the call that owns it is a data race under TSan.
+  std::vector<int> visits(8, 0);
+  for (int call = 0; call < 4000; ++call) {
+    const std::size_t n = call % 2 == 0 ? 2 : 8;
+    std::fill(visits.begin(), visits.end(), 0);
+    ParallelFor(
+        0, n, 1,
+        [&](std::size_t lo, std::size_t hi) {
+          for (std::size_t i = lo; i < hi; ++i) visits[i]++;
+        },
+        8);
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(visits[i], 1) << "index " << i << " in call " << call;
+    }
   }
 }
 

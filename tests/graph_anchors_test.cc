@@ -1,5 +1,7 @@
 // Determinism and memory tests for the bipartite anchor-graph builder:
-// SelectAnchors is a pure function of (x, options) regardless of threads,
+// SelectAnchors is a pure function of (x, options) regardless of threads and
+// matches the serial k-means++ + Lloyd reference below bit for bit, the
+// lane-blocked distance panel matches the scalar Gram formula bit for bit,
 // and BuildAnchorAffinity emits a CSR bitwise identical at every tile size
 // and thread count (the same contract graph_tiled_test pins for the square
 // builders). The allocation hook then proves the builder never touches an
@@ -11,6 +13,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <new>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -19,6 +22,7 @@
 #include "common/rng.h"
 #include "graph/anchors.h"
 #include "graph/distance.h"
+#include "la/ops.h"
 
 namespace {
 
@@ -76,6 +80,112 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
 
 namespace umvsc::graph {
 namespace {
+
+// The k-means++ + Lloyd selection as it stood before its distances moved into
+// SIMD lane blocks on the pool: one scalar distance chain per candidate–center
+// pair, every step serial, candidates copied row-major. The library must
+// match it bit for bit.
+namespace reference {
+
+double RowSquaredDistance(const double* a, const double* b, std::size_t d) {
+  double s = 0.0;
+  for (std::size_t p = 0; p < d; ++p) {
+    const double diff = a[p] - b[p];
+    s += diff * diff;
+  }
+  return s;
+}
+
+la::Matrix KmeansppRefineAnchors(const la::Matrix& x,
+                                 const AnchorOptions& options) {
+  Rng rng(options.seed);
+  const std::size_t n = x.rows();
+  const std::size_t d = x.cols();
+  const std::size_t m = options.num_anchors;
+  const std::size_t num_candidates = std::min(
+      n, std::max<std::size_t>(options.candidate_factor * m, 1024));
+
+  la::Matrix candidates(num_candidates, d);
+  {
+    const std::vector<std::size_t> ids =
+        rng.SampleWithoutReplacement(n, num_candidates);
+    for (std::size_t i = 0; i < num_candidates; ++i) {
+      candidates.SetRow(i, x.Row(ids[i]));
+    }
+  }
+
+  la::Matrix centers(m, d);
+  std::vector<double> min_d2(num_candidates, 0.0);
+  std::vector<bool> chosen(num_candidates, false);
+  std::size_t first = static_cast<std::size_t>(rng.UniformInt(num_candidates));
+  centers.SetRow(0, candidates.Row(first));
+  chosen[first] = true;
+  for (std::size_t i = 0; i < num_candidates; ++i) {
+    min_d2[i] =
+        RowSquaredDistance(candidates.RowPtr(i), centers.RowPtr(0), d);
+  }
+  for (std::size_t t = 1; t < m; ++t) {
+    double total = 0.0;
+    for (double w : min_d2) total += w;
+    std::size_t pick = num_candidates;
+    if (total > 0.0) {
+      pick = rng.SampleDiscrete(min_d2);
+    } else {
+      for (std::size_t i = 0; i < num_candidates; ++i) {
+        if (!chosen[i]) {
+          pick = i;
+          break;
+        }
+      }
+      if (pick == num_candidates) pick = t % num_candidates;
+    }
+    centers.SetRow(t, candidates.Row(pick));
+    chosen[pick] = true;
+    for (std::size_t i = 0; i < num_candidates; ++i) {
+      const double d2 =
+          RowSquaredDistance(candidates.RowPtr(i), centers.RowPtr(t), d);
+      if (d2 < min_d2[i]) min_d2[i] = d2;
+    }
+  }
+
+  std::vector<std::size_t> assign(num_candidates, 0);
+  la::Matrix sums(m, d);
+  std::vector<std::size_t> counts(m, 0);
+  for (std::size_t sweep = 0; sweep < options.refine_iterations; ++sweep) {
+    for (std::size_t i = 0; i < num_candidates; ++i) {
+      double best = RowSquaredDistance(candidates.RowPtr(i),
+                                       centers.RowPtr(0), d);
+      std::size_t best_j = 0;
+      for (std::size_t j = 1; j < m; ++j) {
+        const double d2 =
+            RowSquaredDistance(candidates.RowPtr(i), centers.RowPtr(j), d);
+        if (d2 < best) {
+          best = d2;
+          best_j = j;
+        }
+      }
+      assign[i] = best_j;
+    }
+    sums.Fill(0.0);
+    std::fill(counts.begin(), counts.end(), 0);
+    for (std::size_t i = 0; i < num_candidates; ++i) {
+      double* srow = sums.RowPtr(assign[i]);
+      const double* crow = candidates.RowPtr(i);
+      for (std::size_t p = 0; p < d; ++p) srow[p] += crow[p];
+      counts[assign[i]]++;
+    }
+    for (std::size_t j = 0; j < m; ++j) {
+      if (counts[j] == 0) continue;
+      const double inv = 1.0 / static_cast<double>(counts[j]);
+      double* crow = centers.RowPtr(j);
+      const double* srow = sums.RowPtr(j);
+      for (std::size_t p = 0; p < d; ++p) crow[p] = srow[p] * inv;
+    }
+  }
+  return centers;
+}
+
+}  // namespace reference
 
 la::Matrix ClusteredFeatures(std::size_t n, std::size_t d,
                              std::uint64_t seed) {
@@ -136,6 +246,69 @@ TEST(AnchorSelectionTest, ValidatesAndShapes) {
     EXPECT_EQ(anchors->rows(), 8u);
     EXPECT_EQ(anchors->cols(), 3u);
   }
+}
+
+// SelectAnchors against the serial reference at 1, 2 and 8 threads.
+void ExpectMatchesReference(const la::Matrix& x, const AnchorOptions& options) {
+  const la::Matrix expected = reference::KmeansppRefineAnchors(x, options);
+  for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+    ScopedNumThreads scoped(threads);
+    StatusOr<la::Matrix> got = SelectAnchors(x, options);
+    ASSERT_TRUE(got.ok()) << "threads=" << threads;
+    ExpectBitwiseEqual(expected, *got);
+  }
+}
+
+// Shapes: one and three features (lane tails of a one-register row), a
+// candidate count that is not a multiple of the 8-candidate block, the
+// serving shape (d = 1024, m = 256), and a full 2 048-candidate pool.
+TEST(AnchorSelectionTest, MatchesSerialReferenceBitwise) {
+  for (const auto& [n, d, m] :
+       {std::tuple<std::size_t, std::size_t, std::size_t>{300, 1, 16},
+        {300, 3, 16},
+        {500, 13, 64},
+        {400, 1024, 256},
+        {5000, 8, 256}}) {
+    SCOPED_TRACE(::testing::Message() << "n=" << n << " d=" << d
+                                      << " m=" << m);
+    AnchorOptions options;
+    options.num_anchors = m;
+    options.seed = 40 + d;
+    ExpectMatchesReference(ClusteredFeatures(n, d, 7 + n + d), options);
+  }
+}
+
+// Small-integer features: many candidates sit at exactly equal distances
+// from two centers, so the first-minimum tie rule decides assignments.
+TEST(AnchorSelectionTest, TiedDistancesMatchSerialReferenceBitwise) {
+  Rng rng(5);
+  la::Matrix x(300, 2);
+  for (std::size_t i = 0; i < x.rows(); ++i) {
+    for (std::size_t p = 0; p < x.cols(); ++p) {
+      x(i, p) = static_cast<double>(rng.UniformInt(4));
+    }
+  }
+  AnchorOptions options;
+  options.num_anchors = 10;
+  options.seed = 17;
+  ExpectMatchesReference(x, options);
+}
+
+// Every row identical: after the first center the total weight is zero, so
+// each further center takes the smallest unchosen candidate.
+TEST(AnchorSelectionTest, DuplicateRowsMatchSerialReferenceBitwise) {
+  la::Matrix x(60, 5, 1.25);
+  AnchorOptions options;
+  options.num_anchors = 12;
+  options.seed = 3;
+  ExpectMatchesReference(x, options);
+}
+
+TEST(AnchorSelectionTest, AsManyAnchorsAsRowsMatchesSerialReference) {
+  AnchorOptions options;
+  options.num_anchors = 37;
+  options.seed = 11;
+  ExpectMatchesReference(ClusteredFeatures(37, 6, 41), options);
 }
 
 TEST(AnchorSelectionTest, ThreadCountDoesNotChangeAnchors) {
@@ -284,6 +457,36 @@ TEST(AnchorAffinityTest, NearestAnchorDefinitionMatchesBruteForce) {
       EXPECT_EQ(z->col_indices()[begin + r], expected[r].first) << "row " << i;
       EXPECT_NEAR(z->values()[begin + r], expected[r].second, 1e-12)
           << "row " << i;
+    }
+  }
+}
+
+// The lane-blocked panel against the scalar Gram formula, entry for entry,
+// with m = 23 so every row runs a four-register group, a one-register group
+// and a three-column scalar tail.
+TEST(AnchorAffinityTest, CrossPanelMatchesScalarFormulaBitwise) {
+  const std::size_t n = 21;
+  const std::size_t m = 23;
+  for (std::size_t d : {std::size_t{1}, std::size_t{3}, std::size_t{8},
+                        std::size_t{300}}) {
+    SCOPED_TRACE(::testing::Message() << "d=" << d);
+    const la::Matrix x = ClusteredFeatures(n, d, 50 + d);
+    const la::Matrix y = ClusteredFeatures(m, d, 60 + d);
+    const la::Vector x_norms = RowSquaredNorms(x);
+    const la::Vector y_norms = RowSquaredNorms(y);
+    std::vector<double> panel((n - 2) * m);
+    CrossSquaredDistancePanel(x, x_norms, la::Transpose(y), y_norms, 2, n,
+                              panel.data());
+    for (std::size_t i = 2; i < n; ++i) {
+      for (std::size_t j = 0; j < m; ++j) {
+        double s = 0.0;
+        for (std::size_t p = 0; p < d; ++p) s += x(i, p) * y(j, p);
+        const double expected =
+            std::max(0.0, x_norms[i] + y_norms[j] - 2.0 * s);
+        const double got = panel[(i - 2) * m + j];
+        EXPECT_EQ(std::memcmp(&expected, &got, sizeof(double)), 0)
+            << "i=" << i << " j=" << j;
+      }
     }
   }
 }
