@@ -75,6 +75,30 @@ BENCHMARK(BM_Discretize)
     ->Args({200000, 5})
     ->Unit(benchmark::kMillisecond);
 
+// One reduced-path Y-step (F = B·G, F·R, argmax, Ŷ, residual, BᵀŶ) at
+// Args {n, p, c}: {200 000, 13, 5} is the anchor fit's alternation shape,
+// {50 000, 21, 5} the stream's re-solve window.
+void BM_YStep(benchmark::State& state) {
+  Rng rng(4);
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto p = static_cast<std::size_t>(state.range(1));
+  const auto c = static_cast<std::size_t>(state.range(2));
+  const la::Matrix basis =
+      la::Orthonormalize(la::Matrix::RandomGaussian(n, p, rng));
+  const la::Matrix g = la::Orthonormalize(la::Matrix::RandomGaussian(p, c, rng));
+  const la::Matrix r = la::Orthonormalize(la::Matrix::RandomGaussian(c, c, rng));
+  cluster::YStepOptions options;
+  options.repair_empty = true;
+  cluster::YStepBuffers buffers;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(cluster::YStep(basis, &g, r, options, buffers));
+  }
+}
+BENCHMARK(BM_YStep)
+    ->Args({200000, 13, 5})
+    ->Args({50000, 21, 5})
+    ->Unit(benchmark::kMillisecond);
+
 void BM_GpiSparse(benchmark::State& state) {
   data::MultiViewDataset d = Dataset(static_cast<std::size_t>(state.range(0)),
                                      8, 4);

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <optional>
 
 #include "common/parallel.h"
-#include "cluster/rotation.h"
 #include "la/lanczos.h"
 #include "la/ops.h"
 #include "mvsc/anchor_unified.h"
@@ -149,53 +147,6 @@ Weights UpdateWeights(const std::vector<double>& h, ViewWeighting mode,
   }
   FloorCoefficients(w.coefficients);
   return w;
-}
-
-// Row-argmax discretization with empty-cluster repair: an empty column j
-// steals the row with the largest affinity F·R(:, j) among rows whose
-// cluster keeps >= 2 members, so the solver cannot silently collapse
-// clusters (mirrors the K-means empty-cluster convention).
-void DiscretizeRows(const la::Matrix& fr, std::vector<std::size_t>& labels,
-                    std::vector<std::size_t>& counts) {
-  const std::size_t n = fr.rows();
-  const std::size_t num_clusters = fr.cols();
-  labels.assign(n, 0);
-  counts.assign(num_clusters, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    double best = -std::numeric_limits<double>::infinity();
-    for (std::size_t j = 0; j < num_clusters; ++j) {
-      if (fr(i, j) > best) {
-        best = fr(i, j);
-        labels[i] = j;
-      }
-    }
-    counts[labels[i]]++;
-  }
-  for (std::size_t j = 0; j < num_clusters; ++j) {
-    if (counts[j] != 0) continue;
-    double best = -std::numeric_limits<double>::infinity();
-    std::size_t best_i = n;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (counts[labels[i]] < 2) continue;
-      if (fr(i, j) > best) {
-        best = fr(i, j);
-        best_i = i;
-      }
-    }
-    if (best_i < n) {
-      counts[labels[best_i]]--;
-      labels[best_i] = j;
-      counts[j] = 1;
-    }
-  }
-}
-
-double DiscretizeStep(const la::Matrix& fr, bool scale_indicator,
-                      std::vector<std::size_t>& labels,
-                      std::vector<std::size_t>& counts, la::Matrix& y_hat) {
-  DiscretizeRows(fr, labels, counts);
-  return cluster::IndicatorResidual(labels, counts, scale_indicator, fr,
-                                    y_hat);
 }
 
 double ObjectiveFromResidual(const std::vector<la::CsrMatrix>& laplacians,

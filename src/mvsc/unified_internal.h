@@ -17,8 +17,8 @@ namespace umvsc::mvsc::internal {
 /// driver (SolveAlternation, reduced_solve.cc) runs the G/R/Y/α loop for
 /// the exact n-row path (UnifiedMVSC::Run(graphs), no basis: F = G) and
 /// for the reduced anchor path (SolveReducedAlternation, F = B·G); the
-/// blocks below are its α-step, floors, discretization repair and
-/// objective. Nothing outside mvsc/ should include this header.
+/// blocks below are its α-step, floors and objective; its Y-step is
+/// cluster::YStep. Nothing outside mvsc/ should include this header.
 
 /// The one G/R/Y/α alternation: spectral floors (kExcess) → init
 /// alternations → discretize-init (or the warm rotation) → loop → polish
@@ -58,22 +58,6 @@ struct Weights {
 /// floor that keeps fragmented views from absorbing the whole null space.
 Weights UpdateWeights(const std::vector<double>& h, ViewWeighting mode,
                       double gamma);
-
-/// Row-argmax discretization of F·R (one cluster per column) with
-/// empty-cluster repair (ties keep the smaller column index; an empty
-/// column steals the best row among clusters that keep >= 2 members).
-/// Overwrites `labels` (resized to fr.rows()) and `counts` (the repaired
-/// cluster sizes, resized to fr.cols()), so a loop can reuse both.
-void DiscretizeRows(const la::Matrix& fr, std::vector<std::size_t>& labels,
-                    std::vector<std::size_t>& counts);
-
-/// The alternations' Y-step on a freshly computed `fr` = F·R: labels by
-/// DiscretizeRows, Ŷ written into `y_hat` (shaped like `fr`, overwritten;
-/// it may be `fr` itself), and ‖Ŷ − F·R‖_F returned — the residual the objective needs, from the
-/// F·R the step already holds (cluster::IndicatorResidual).
-double DiscretizeStep(const la::Matrix& fr, bool scale_indicator,
-                      std::vector<std::size_t>& labels,
-                      std::vector<std::size_t>& counts, la::Matrix& y_hat);
 
 /// The unified objective Σ_v coefficients[v]·Tr(FᵀL_vF) + β·residual²,
 /// given the discretization residual ‖Ŷ − F·R‖_F. The per-view traces fan

@@ -242,30 +242,6 @@ TEST(DiscretizeReferenceTest, TiedRowsTakeTheFirstMaximum) {
   }
 }
 
-TEST(IndicatorResidualTest, MatchesAddFrobeniusNormBitwise) {
-  const std::size_t n = 997, c = 5;
-  const la::Matrix fr = ClusteredEmbedding(n, c, 400);
-  std::vector<std::size_t> labels = reference::IndicatorToLabels(fr);
-  labels[0] = 4;  // one row off its argmax, so a residual term is large
-  std::vector<std::size_t> counts(c, 0);
-  for (std::size_t label : labels) ++counts[label];
-  for (const bool scale : {true, false}) {
-    const la::Matrix y = LabelsToIndicator(labels, c);
-    const la::Matrix want_y_hat = scale ? ScaledIndicator(y) : y;
-    const double want = la::Add(want_y_hat, fr, -1.0).FrobeniusNorm();
-
-    la::Matrix y_hat(n, c, 7.0);
-    EXPECT_TRUE(BitwiseEqual(
-        want, IndicatorResidual(labels, counts, scale, fr, y_hat)));
-    EXPECT_TRUE(BitwiseEqual(want_y_hat, y_hat));
-
-    la::Matrix in_place = fr;  // Ŷ overwrites F·R
-    EXPECT_TRUE(BitwiseEqual(
-        want, IndicatorResidual(labels, counts, scale, in_place, in_place)));
-    EXPECT_TRUE(BitwiseEqual(want_y_hat, in_place));
-  }
-}
-
 TEST(IndicatorTest, RoundTripLabelsIndicator) {
   std::vector<std::size_t> labels{0, 2, 1, 1, 0};
   la::Matrix y = LabelsToIndicator(labels, 3);
