@@ -9,8 +9,6 @@
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "graph/distance.h"
-#include "graph/tiled_select.h"
-#include "la/ops.h"
 #include "la/simd.h"
 
 namespace umvsc::graph {
@@ -174,6 +172,39 @@ la::Matrix KmeansppRefineAnchors(const la::Matrix& x,
   return centers;
 }
 
+// The weighting half of the anchor row rule. On entry `cols`/`vals` hold one
+// row's s selected anchors and their squared distances in rank
+// (ascending-distance) order; on exit `vals` holds the normalized
+// self-tuning Gaussian weights and both arrays are in ascending anchor order.
+void WeightAnchorRow(std::size_t s, std::size_t* cols, double* vals) {
+  // Rank order is ascending distance: the last kept entry is the s-th
+  // nearest, whose squared distance is the self-tuning bandwidth. The
+  // weight sum runs in rank order (a fixed order per row), NOT in column
+  // order, so it too is a pure function of the row.
+  const double sigma2 = std::max(vals[s - 1], 1e-300);
+  double sum = 0.0;
+  for (std::size_t r = 0; r < s; ++r) {
+    vals[r] = std::exp(-vals[r] / sigma2);
+    sum += vals[r];
+  }
+  const double inv = 1.0 / sum;  // sum >= exp(-1) by construction
+  for (std::size_t r = 0; r < s; ++r) vals[r] *= inv;
+  // Insertion sort to ascending column order (s is small), values ride
+  // along — CSR requires strictly ascending columns per row.
+  for (std::size_t r = 1; r < s; ++r) {
+    const std::size_t cr = cols[r];
+    const double vr = vals[r];
+    std::size_t q = r;
+    while (q > 0 && cols[q - 1] > cr) {
+      cols[q] = cols[q - 1];
+      vals[q] = vals[q - 1];
+      --q;
+    }
+    cols[q] = cr;
+    vals[q] = vr;
+  }
+}
+
 }  // namespace
 
 StatusOr<la::Matrix> SelectAnchors(const la::Matrix& x,
@@ -216,58 +247,74 @@ StatusOr<la::CsrMatrix> BuildAnchorAffinity(const la::Matrix& x,
         "BuildAnchorAffinity requires 1 <= anchor_neighbors <= anchors");
   }
 
-  const la::Vector x_norms = RowSquaredNorms(x);
-  const la::Vector a_norms = RowSquaredNorms(anchors);
-  const la::Matrix anchors_t = la::Transpose(anchors);
-  internal::DirectedSelection sel = internal::TiledSelectRect(
-      n, m, s, /*largest=*/false, options.tile_rows,
-      [&](std::size_t r0, std::size_t r1, double* panel) {
-        CrossSquaredDistancePanel(x, x_norms, anchors_t, a_norms, r0, r1,
-                                  panel);
-      });
-
-  // Weight + normalize + column-sort each row. Every row depends only on its
-  // own selection, so the pass is row-parallel, write-disjoint, and bitwise
-  // deterministic.
+  const AnchorPanel panel = PrepareAnchors(anchors);
+  const std::size_t tile = std::max<std::size_t>(1, options.tile_rows);
   std::vector<std::size_t> row_offsets(n + 1);
   for (std::size_t i = 0; i <= n; ++i) row_offsets[i] = i * s;
-  std::vector<std::size_t> cols = std::move(sel.cols);  // n·s, rank order
-  std::vector<double> vals = std::move(sel.vals);
-  ParallelFor(0, n, 64, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) {
-      WeightAnchorRow(s, cols.data() + i * s, vals.data() + i * s);
+  std::vector<std::size_t> cols(n * s);
+  std::vector<double> vals(n * s);
+  // ParallelFor hands each thread a run of whole tiles; every row depends
+  // only on itself, so the spans are write-disjoint and the graph is bitwise
+  // identical at every thread count and tile size.
+  ParallelFor(0, n, tile, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t r0 = begin; r0 < end; r0 += tile) {
+      const std::size_t r1 = std::min(r0 + tile, end);
+      AnchorRowTile(panel, s, x.RowPtr(r0), r1 - r0, cols.data() + r0 * s,
+                    vals.data() + r0 * s);
     }
   });
   return la::CsrMatrix::FromParts(n, m, std::move(row_offsets),
                                   std::move(cols), std::move(vals));
 }
 
-void WeightAnchorRow(std::size_t s, std::size_t* cols, double* vals) {
-  // Rank order is ascending distance: the last kept entry is the s-th
-  // nearest, whose squared distance is the self-tuning bandwidth. The
-  // weight sum runs in rank order (a fixed order per row), NOT in column
-  // order, so it too is a pure function of the row.
-  const double sigma2 = std::max(vals[s - 1], 1e-300);
-  double sum = 0.0;
-  for (std::size_t r = 0; r < s; ++r) {
-    vals[r] = std::exp(-vals[r] / sigma2);
-    sum += vals[r];
-  }
-  const double inv = 1.0 / sum;  // sum >= exp(-1) by construction
-  for (std::size_t r = 0; r < s; ++r) vals[r] *= inv;
-  // Insertion sort to ascending column order (s is small), values ride
-  // along — CSR requires strictly ascending columns per row.
-  for (std::size_t r = 1; r < s; ++r) {
-    const std::size_t cr = cols[r];
-    const double vr = vals[r];
-    std::size_t q = r;
-    while (q > 0 && cols[q - 1] > cr) {
+AnchorPanel PrepareAnchors(const la::Matrix& anchors) {
+  AnchorPanel panel;
+  panel.sq_norms = RowSquaredNorms(anchors);
+  panel.packed = la::kernel::PackB(anchors.rows(), anchors.cols(),
+                                   {anchors.data(), anchors.cols(), true});
+  return panel;
+}
+
+void SelectAnchorRow(const double* d2, std::size_t m, std::size_t s,
+                     std::size_t* cols, double* weights) {
+  // Bounded s-best insertion; `weights` holds the kept squared distances in
+  // rank (ascending-distance) order until they are turned into weights.
+  // Strict comparisons on both the skip and the shift keep ties on the
+  // smaller anchor index.
+  std::size_t filled = 0;
+  for (std::size_t j = 0; j < m; ++j) {
+    const double v = d2[j];
+    if (filled == s && v >= weights[s - 1]) continue;
+    std::size_t q = filled < s ? filled : s - 1;
+    while (q > 0 && weights[q - 1] > v) {
+      weights[q] = weights[q - 1];
       cols[q] = cols[q - 1];
-      vals[q] = vals[q - 1];
       --q;
     }
-    cols[q] = cr;
-    vals[q] = vr;
+    weights[q] = v;
+    cols[q] = j;
+    if (filled < s) ++filled;
+  }
+  WeightAnchorRow(s, cols, weights);
+}
+
+void AnchorRowTile(const AnchorPanel& panel, std::size_t s, const double* x,
+                   std::size_t rows, std::size_t* cols, double* weights) {
+  const std::size_t d = panel.packed.k;
+  const std::size_t m = panel.packed.n;
+  // Per-thread scratch; capacity sticks across calls.
+  static thread_local std::vector<double> d2;
+  d2.assign(rows * m, 0.0);
+  // The dot panel d2(i, j) = x_i·a_j against the packed anchors; the kernel
+  // picks its register tile by the row count.
+  la::kernel::GemmAdd({x, d, false}, panel.packed, d2.data(), m, 0, rows);
+  for (std::size_t i = 0; i < rows; ++i) {
+    const double nx = RowSquaredNorm(x + i * d, d);
+    double* row = d2.data() + i * m;
+    for (std::size_t j = 0; j < m; ++j) {
+      row[j] = SquaredFromDot(nx, panel.sq_norms[j], row[j]);
+    }
+    SelectAnchorRow(row, m, s, cols + i * s, weights + i * s);
   }
 }
 

@@ -1,12 +1,15 @@
 #ifndef UMVSC_GRAPH_ANCHORS_H_
 #define UMVSC_GRAPH_ANCHORS_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 
 #include "common/status.h"
+#include "la/gemm_kernel.h"
 #include "la/matrix.h"
 #include "la/sparse.h"
+#include "la/vector.h"
 
 namespace umvsc::graph {
 
@@ -54,9 +57,9 @@ StatusOr<la::Matrix> SelectAnchors(const la::Matrix& x,
 struct AnchorGraphOptions {
   /// Nonzeros per row s: each point connects to its s nearest anchors.
   std::size_t anchor_neighbors = 5;
-  /// Row-tile height of the tiled distance panels (memory/locality knob,
-  /// never a semantics knob — the output is bitwise identical at every
-  /// setting, exactly like TiledGraphOptions::tile_rows).
+  /// Row-tile height of the builder's AnchorRowTile calls (memory/locality
+  /// knob, never a semantics knob — every row is a pure function of itself,
+  /// so the output is bitwise identical at every setting).
   std::size_t tile_rows = 128;
 };
 
@@ -65,27 +68,63 @@ struct AnchorGraphOptions {
 /// weights exp(−d²_ij / σ²_i), σ²_i = the s-th-nearest squared distance
 /// (clamped away from zero), then each row is normalized to sum to 1 — so Z
 /// is row-stochastic and the implicit affinity Ẑ·Ẑᵀ has spectrum in [0, 1].
-/// Ties at the s-th distance keep the smaller anchor index (the BoundedTopK
-/// rule); within a row, columns are stored in ascending anchor order.
+/// Ties at the s-th distance keep the smaller anchor index; within a row,
+/// columns are stored in ascending anchor order.
 ///
-/// Runs on tile_rows × m distance panels through the tiled selection core:
-/// peak auxiliary memory is O(tile_rows·m) per participating thread plus the
-/// O(n·s) output — never an n × m dense buffer — and the result is bitwise
-/// identical at every tile size and thread count. Requires
+/// Packs the anchors once (PrepareAnchors) and runs AnchorRowTile over
+/// tile_rows-row tiles under ParallelFor, writing straight into the CSR
+/// arrays: peak auxiliary memory is O(tile_rows·m) per participating thread
+/// plus the O(n·s) output — never an n × m dense buffer. Every row is
+/// bitwise the row the serving and streaming paths build for the same
+/// standardized point (they run the same AnchorRowTile), at every feature
+/// dimension, tile size and thread count. Requires
 /// 1 <= anchor_neighbors <= anchors.rows() and matching feature dims.
 StatusOr<la::CsrMatrix> BuildAnchorAffinity(
     const la::Matrix& x, const la::Matrix& anchors,
     const AnchorGraphOptions& options = {});
 
-/// The weighting half of BuildAnchorAffinity's row rule, which the serving
-/// side (mvsc::assign::SelectAnchorRow) runs too, so training and serving
-/// rows agree bit for bit. On entry `cols`/`vals` hold one row's s selected
-/// anchors and their squared distances in rank (ascending-distance) order.
-/// On exit `vals` holds the self-tuning Gaussian weights exp(−d²/σ²),
-/// σ² = the s-th-nearest squared distance floored at 1e-300, summed in rank
-/// order and scaled by the reciprocal of that sum, and both arrays are
-/// sorted to ascending anchor order. Requires s >= 1.
-void WeightAnchorRow(std::size_t s, std::size_t* cols, double* vals);
+/// The per-view data every anchor-row call reads besides the rows: ‖a_j‖²
+/// per anchor (RowSquaredNorms) and the anchors packed once as the
+/// transposed B operand of la::kernel::GemmAdd (d × m). Derived from the
+/// anchors alone — rebuilt wherever they change, never serialized — and
+/// immutable, so concurrent calls share it.
+struct AnchorPanel {
+  la::Vector sq_norms;
+  la::kernel::PackedB packed;
+};
+
+/// Builds the AnchorPanel of an m × d anchor matrix.
+AnchorPanel PrepareAnchors(const la::Matrix& anchors);
+
+/// The Gram-expansion squared distance max(0, ‖x‖² + ‖a‖² − 2·x·a),
+/// clamped at zero.
+inline double SquaredFromDot(double nx, double na, double dot) {
+  return std::max(0.0, nx + na - 2.0 * dot);
+}
+
+/// The anchor row rule applied to one dense distance row: selects the s
+/// nearest of the m squared distances in `d2` (ascending distance, ties keep
+/// the smaller anchor index), then turns them into self-tuning Gaussian
+/// weights exp(−d²/σ²), σ² = the s-th-nearest squared distance floored at
+/// 1e-300, summed in rank order and scaled by the reciprocal of that sum,
+/// stored in ascending anchor order — ready to drop into a CSR row.
+/// `cols` and `weights` must hold s entries. Requires 1 ≤ s ≤ m.
+void SelectAnchorRow(const double* d2, std::size_t m, std::size_t s,
+                     std::size_t* cols, double* weights);
+
+/// The one anchor-row kernel, which the training builder
+/// (BuildAnchorAffinity), serving (mvsc::assign::AssignRows) and the
+/// stream's row extension all run. For `rows` standardized rows of `x`
+/// (row-major, stride d = panel.packed.k): takes their dots with the m
+/// anchors (one GemmAdd against panel.packed, on its kc accumulation grid),
+/// turns them into Gram distances against panel.sq_norms with ‖x_i‖² from
+/// RowSquaredNorm, and runs SelectAnchorRow. Writes row i's s anchor
+/// columns and weights at cols/weights + i·s. The kernel gives a row the
+/// same bits in a one-row call as in a taller tile, so every row is a pure
+/// function of itself. Scratch (rows × m doubles) is per thread and reused.
+/// Requires 1 ≤ s ≤ m.
+void AnchorRowTile(const AnchorPanel& panel, std::size_t s, const double* x,
+                   std::size_t rows, std::size_t* cols, double* weights);
 
 }  // namespace umvsc::graph
 

@@ -5,7 +5,6 @@
 
 #include "common/parallel.h"
 #include "la/ops.h"
-#include "la/simd.h"
 
 namespace umvsc::graph {
 
@@ -44,14 +43,17 @@ la::Matrix PairwiseDistances(const la::Matrix& x) {
   return d;
 }
 
+double RowSquaredNorm(const double* x, std::size_t k) {
+  double s = 0.0;
+  for (std::size_t p = 0; p < k; ++p) s += x[p] * x[p];
+  return s;
+}
+
 la::Vector RowSquaredNorms(const la::Matrix& x) {
   const std::size_t n = x.rows();
   la::Vector norms(n);
   for (std::size_t i = 0; i < n; ++i) {
-    const double* ri = x.RowPtr(i);
-    double s = 0.0;
-    for (std::size_t p = 0; p < x.cols(); ++p) s += ri[p] * ri[p];
-    norms[i] = s;
+    norms[i] = RowSquaredNorm(x.RowPtr(i), x.cols());
   }
   return norms;
 }
@@ -73,58 +75,6 @@ void SquaredDistancePanel(const la::Matrix& x, const la::Vector& sq_norms,
       double s = 0.0;
       for (std::size_t p = 0; p < d; ++p) s += ri[p] * rj[p];
       prow[j] = std::max(0.0, ni + sq_norms[j] - 2.0 * s);
-    }
-  }
-}
-
-void CrossSquaredDistancePanel(const la::Matrix& x,
-                               const la::Vector& x_sq_norms,
-                               const la::Matrix& y_t,
-                               const la::Vector& y_sq_norms, std::size_t r0,
-                               std::size_t r1, double* panel) {
-  using V = la::simd::NativeVec4;
-  constexpr std::size_t kLanes = la::simd::kSimdLanes;
-  const std::size_t m = y_t.cols();
-  const std::size_t d = x.cols();
-  const double* yt = y_t.data();
-  for (std::size_t i = r0; i < r1; ++i) {
-    const double* ri = x.RowPtr(i);
-    double* prow = panel + (i - r0) * m;
-    // Dots first, four columns of y per register: lane j accumulates
-    // acc + x_ip·y_jp unfused in ascending p, the scalar loop's chain.
-    // Four registers at a time keep four independent chains in flight.
-    std::size_t j = 0;
-    for (; j + 4 * kLanes <= m; j += 4 * kLanes) {
-      V::Reg acc0 = V::Zero(), acc1 = V::Zero();
-      V::Reg acc2 = V::Zero(), acc3 = V::Zero();
-      for (std::size_t p = 0; p < d; ++p) {
-        const V::Reg xp = V::Broadcast(ri[p]);
-        const double* yp = yt + p * m + j;
-        acc0 = V::MulAdd(xp, V::Load(yp), acc0);
-        acc1 = V::MulAdd(xp, V::Load(yp + kLanes), acc1);
-        acc2 = V::MulAdd(xp, V::Load(yp + 2 * kLanes), acc2);
-        acc3 = V::MulAdd(xp, V::Load(yp + 3 * kLanes), acc3);
-      }
-      V::Store(prow + j, acc0);
-      V::Store(prow + j + kLanes, acc1);
-      V::Store(prow + j + 2 * kLanes, acc2);
-      V::Store(prow + j + 3 * kLanes, acc3);
-    }
-    for (; j + kLanes <= m; j += kLanes) {
-      V::Reg acc = V::Zero();
-      for (std::size_t p = 0; p < d; ++p) {
-        acc = V::MulAdd(V::Broadcast(ri[p]), V::Load(yt + p * m + j), acc);
-      }
-      V::Store(prow + j, acc);
-    }
-    for (; j < m; ++j) {
-      double s = 0.0;
-      for (std::size_t p = 0; p < d; ++p) s += ri[p] * yt[p * m + j];
-      prow[j] = s;
-    }
-    const double ni = x_sq_norms[i];
-    for (j = 0; j < m; ++j) {
-      prow[j] = std::max(0.0, ni + y_sq_norms[j] - 2.0 * prow[j]);
     }
   }
 }

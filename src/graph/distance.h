@@ -26,10 +26,12 @@ la::Matrix PairwiseDistances(const la::Matrix& x);
 /// and bitwise deterministic across thread counts.
 la::Matrix CosineSimilarity(const la::Matrix& x);
 
-/// Squared Euclidean norms of the rows of `x`: ‖x_i‖², accumulated in
-/// ascending-feature order — bitwise identical to the diagonal of
-/// `la::OuterGram(x)`. The O(n)-memory ingredient of the tiled distance
-/// panels below.
+/// ‖x‖² of one k-entry row, accumulated in ascending-feature order.
+double RowSquaredNorm(const double* x, std::size_t k);
+
+/// Squared Euclidean norms of the rows of `x`: RowSquaredNorm of each row —
+/// bitwise identical to the diagonal of `la::OuterGram(x)`. The
+/// O(n)-memory ingredient of the tiled distance panels.
 la::Vector RowSquaredNorms(const la::Matrix& x);
 
 /// Fills a row-tile panel of pairwise squared distances:
@@ -42,24 +44,6 @@ la::Vector RowSquaredNorms(const la::Matrix& x);
 /// matrix. Serial by design: it is the inner kernel of tile-parallel loops.
 void SquaredDistancePanel(const la::Matrix& x, const la::Vector& sq_norms,
                           std::size_t r0, std::size_t r1, double* panel);
-
-/// Bipartite sibling of SquaredDistancePanel: fills a row-tile panel of
-/// squared distances from rows of `x` to ALL rows of a second set y, passed
-/// transposed as `y_t` (d × m, e.g. la::Transpose(y), built once per caller)
-///   panel(i − r0, j) = max(0, ‖x_i‖² + ‖y_j‖² − 2·x_i·y_j)
-/// for i in [r0, r1), j in [0, m). `x_sq_norms` / `y_sq_norms` must be
-/// RowSquaredNorms of x and y and `panel` must provide (r1 − r0) × m
-/// entries. No self-skip — the row and column sets are different objects.
-/// Four columns of y share one SIMD register, each lane on the scalar dot's
-/// ascending-p unfused chain, so the entries are bitwise those of the plain
-/// Gram expansion with the same clamp as SquaredDistancePanel: a pure
-/// function of the two rows, identical at every tile size and thread count.
-/// Serial by design: the inner kernel of tile-parallel loops.
-void CrossSquaredDistancePanel(const la::Matrix& x,
-                               const la::Vector& x_sq_norms,
-                               const la::Matrix& y_t,
-                               const la::Vector& y_sq_norms, std::size_t r0,
-                               std::size_t r1, double* panel);
 
 }  // namespace umvsc::graph
 

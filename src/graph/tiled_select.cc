@@ -8,28 +8,20 @@
 
 namespace umvsc::graph::internal {
 
-namespace {
-
-// Shared tile-parallel driver of the square and rectangular selections. The
-// tile grid is a pure function of (n_rows, tile_rows); threads own contiguous
-// tile runs and every row's selection depends only on its own panel row, so
-// the output is bitwise identical at every thread count and tile size.
-DirectedSelection TiledSelectImpl(std::size_t n_rows, std::size_t n_cols,
-                                  std::size_t k, bool largest,
-                                  std::size_t tile_rows,
-                                  const PanelFiller& fill, bool skip_diagonal,
-                                  bool* negative_seen) {
-  const std::size_t tile =
-      std::max<std::size_t>(1, std::min(tile_rows, n_rows));
-  const std::size_t num_tiles = (n_rows + tile - 1) / tile;
+DirectedSelection TiledSelect(std::size_t n, std::size_t k, bool largest,
+                              std::size_t tile_rows, const PanelFiller& fill,
+                              bool* negative_seen) {
+  UMVSC_CHECK(k >= 1 && k < n, "TiledSelect requires 1 <= k < n");
+  const std::size_t tile = std::max<std::size_t>(1, std::min(tile_rows, n));
+  const std::size_t num_tiles = (n + tile - 1) / tile;
   const bool check_nonneg = negative_seen != nullptr;
 
   DirectedSelection out;
-  out.n = n_rows;
+  out.n = n;
   out.k = k;
-  out.cols.resize(n_rows * k);
-  out.vals.resize(n_rows * k);
-  out.counts.assign(n_rows, 0);
+  out.cols.resize(n * k);
+  out.vals.resize(n * k);
+  out.counts.assign(n, 0);
 
   // One flag slot per tile: write-disjoint, collected in tile order after
   // the region so the verdict never depends on scheduling.
@@ -38,20 +30,20 @@ DirectedSelection TiledSelectImpl(std::size_t n_rows, std::size_t n_cols,
   ParallelFor(0, num_tiles, 1, [&](std::size_t tlo, std::size_t thi) {
     // Per-thread reusable workspaces: one score panel and one bounded
     // selector serve every tile in this thread's contiguous run.
-    std::vector<double> panel(tile * n_cols);
+    std::vector<double> panel(tile * n);
     BoundedTopK selector(k, largest);
     for (std::size_t t = tlo; t < thi; ++t) {
       const std::size_t r0 = t * tile;
-      const std::size_t r1 = std::min(n_rows, r0 + tile);
+      const std::size_t r1 = std::min(n, r0 + tile);
       fill(r0, r1, panel.data());
       for (std::size_t i = r0; i < r1; ++i) {
-        const double* prow = panel.data() + (i - r0) * n_cols;
+        const double* prow = panel.data() + (i - r0) * n;
         selector.Reset();
         bool neg = false;
-        for (std::size_t j = 0; j < n_cols; ++j) {
+        for (std::size_t j = 0; j < n; ++j) {
           const double v = prow[j];
           if (check_nonneg && v < 0.0) neg = true;
-          if (skip_diagonal && j == i) continue;
+          if (j == i) continue;
           selector.Offer(v, j);
         }
         if (neg) tile_negative[t] = 1;
@@ -72,26 +64,6 @@ DirectedSelection TiledSelectImpl(std::size_t n_rows, std::size_t n_cols,
     }
   }
   return out;
-}
-
-}  // namespace
-
-DirectedSelection TiledSelect(std::size_t n, std::size_t k, bool largest,
-                              std::size_t tile_rows, const PanelFiller& fill,
-                              bool* negative_seen) {
-  UMVSC_CHECK(k >= 1 && k < n, "TiledSelect requires 1 <= k < n");
-  return TiledSelectImpl(n, n, k, largest, tile_rows, fill,
-                         /*skip_diagonal=*/true, negative_seen);
-}
-
-DirectedSelection TiledSelectRect(std::size_t n_rows, std::size_t n_cols,
-                                  std::size_t k, bool largest,
-                                  std::size_t tile_rows,
-                                  const PanelFiller& fill) {
-  UMVSC_CHECK(k >= 1 && k <= n_cols,
-              "TiledSelectRect requires 1 <= k <= n_cols");
-  return TiledSelectImpl(n_rows, n_cols, k, largest, tile_rows, fill,
-                         /*skip_diagonal=*/false, /*negative_seen=*/nullptr);
 }
 
 }  // namespace umvsc::graph::internal

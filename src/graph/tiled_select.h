@@ -105,19 +105,6 @@ DirectedSelection TiledSelect(std::size_t n, std::size_t k, bool largest,
                               std::size_t tile_rows, const PanelFiller& fill,
                               bool* negative_seen);
 
-/// Rectangular variant for bipartite selections (rows scored against a
-/// DIFFERENT column set, e.g. points vs anchors): cuts [0, n_rows) into row
-/// tiles, fills (r1 − r0) × n_cols panels via `fill`, and keeps the k best
-/// columns per row. No self-skip — row i and column i are unrelated objects —
-/// so every row's count is exactly k. Peak memory is one tile_rows × n_cols
-/// panel per participating thread plus the O(n_rows·k) output. Same
-/// determinism contract as TiledSelect: bitwise identical output at every
-/// thread count and every tile size. Requires 1 <= k <= n_cols.
-DirectedSelection TiledSelectRect(std::size_t n_rows, std::size_t n_cols,
-                                  std::size_t k, bool largest,
-                                  std::size_t tile_rows,
-                                  const PanelFiller& fill);
-
 }  // namespace umvsc::graph::internal
 
 #endif  // UMVSC_GRAPH_TILED_SELECT_H_

@@ -90,19 +90,6 @@ void MatTMulInto(const Matrix& a, const Matrix& b, Matrix& c) {
   });
 }
 
-void MatMulInto(const Matrix& a, const Matrix& b, Matrix& c) {
-  UMVSC_CHECK(a.cols() == b.rows(), "MatMulInto inner dimension mismatch");
-  UMVSC_CHECK(c.rows() == a.rows() && c.cols() == b.cols(),
-              "MatMulInto output shape mismatch");
-  const std::size_t m = a.rows(), k = a.cols(), n = b.cols();
-  c.Fill(0.0);
-  const kernel::Operand ao{a.data(), k, false};
-  const kernel::Operand bo{b.data(), n, false};
-  ParallelFor(0, m, kGemmRowGrain, [&](std::size_t lo, std::size_t hi) {
-    kernel::GemmAdd(n, k, ao, bo, c.data(), n, lo, hi);
-  });
-}
-
 void MatMulTInto(const Matrix& a, const Matrix& b, Matrix& c) {
   UMVSC_CHECK(a.cols() == b.cols(), "MatMulTInto dimension mismatch");
   UMVSC_CHECK(c.rows() == a.rows() && c.cols() == b.rows(),

@@ -42,13 +42,6 @@ void MatMulAddInto(const Matrix& a, const Matrix& b, Matrix& c);
 /// MatTMul(a, b) at every thread count.
 void MatTMulInto(const Matrix& a, const Matrix& b, Matrix& c);
 
-/// C = A · B into caller storage (overwritten) — MatMul without the
-/// allocation, for per-iteration products that reuse a buffer shaped once
-/// before the loop (the mvsc alternations). Requires C pre-shaped to
-/// A.rows() × B.cols().
-/// Bitwise equal to MatMul(a, b) at every thread count.
-void MatMulInto(const Matrix& a, const Matrix& b, Matrix& c);
-
 /// C = A · Bᵀ into caller storage (overwritten) — MatMulT without the
 /// allocation. Requires C pre-shaped to A.rows() × B.rows(). Bitwise equal
 /// to MatMulT(a, b) at every thread count.

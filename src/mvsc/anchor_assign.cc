@@ -1,50 +1,13 @@
 #include "mvsc/anchor_assign.h"
 
+#include <algorithm>
 #include <vector>
 
 #include "common/parallel.h"
 #include "data/standardize.h"
-#include "graph/anchors.h"
-#include "graph/distance.h"
+#include "la/gemm_kernel.h"
 
 namespace umvsc::mvsc::assign {
-
-AnchorPanel PrepareAnchors(const la::Matrix& anchors) {
-  AnchorPanel panel;
-  panel.sq_norms = graph::RowSquaredNorms(anchors);
-  panel.packed = la::kernel::PackB(anchors.rows(), anchors.cols(),
-                                   {anchors.data(), anchors.cols(), true});
-  return panel;
-}
-
-double RowSquaredNorm(const double* x, std::size_t k) {
-  double s = 0.0;
-  for (std::size_t p = 0; p < k; ++p) s += x[p] * x[p];
-  return s;
-}
-
-void SelectAnchorRow(const double* d2, std::size_t m, std::size_t s,
-                     std::size_t* cols, double* weights) {
-  // Bounded s-best insertion; `weights` holds the kept squared distances in
-  // rank (ascending-distance) order until they are turned into weights.
-  // Strict comparisons on both the skip and the shift keep ties on the
-  // smaller anchor index, matching graph::internal::BoundedTopK.
-  std::size_t filled = 0;
-  for (std::size_t j = 0; j < m; ++j) {
-    const double v = d2[j];
-    if (filled == s && v >= weights[s - 1]) continue;
-    std::size_t q = filled < s ? filled : s - 1;
-    while (q > 0 && weights[q - 1] > v) {
-      weights[q] = weights[q - 1];
-      cols[q] = cols[q - 1];
-      --q;
-    }
-    weights[q] = v;
-    cols[q] = j;
-    if (filled < s) ++filled;
-  }
-  graph::WeightAnchorRow(s, cols, weights);
-}
 
 void BlockedVecMatAdd(const double* u, const la::Matrix& a, double* out) {
   const std::size_t p = a.rows();
@@ -81,37 +44,24 @@ void ForEachTile(std::size_t rows,
               });
 }
 
-void AssignRows(const AnchorViewModel& view, const AnchorPanel& panel,
+void AssignRows(const AnchorViewModel& view, const graph::AnchorPanel& panel,
                 std::size_t s, const double* raw, std::size_t rows,
                 std::size_t* cols, double* weights, double* u,
                 std::size_t u_stride) {
   const std::size_t d = view.anchors.cols();
-  const std::size_t m = view.anchors.rows();
   const std::size_t k = view.anchor_map.cols();
   // Per-thread scratch; capacity sticks across calls.
   static thread_local std::vector<double> xs;
-  static thread_local std::vector<double> d2;
   xs.resize(rows * d);
-  d2.resize(rows * m);
   for (std::size_t i = 0; i < rows; ++i) {
     data::ApplyStandardizationRow(raw + i * d, d, view.feature_means,
                                   view.feature_inv_stds, xs.data() + i * d);
   }
-  // The dot panel d2(i, j) = x_i·a_j against the anchors packed once per
-  // model; the kernel picks its register tile by the row count.
-  std::fill(d2.begin(), d2.end(), 0.0);
-  la::kernel::GemmAdd({xs.data(), d, false}, panel.packed, d2.data(), m, 0,
-                      rows);
+  graph::AnchorRowTile(panel, s, xs.data(), rows, cols, weights);
   for (std::size_t i = 0; i < rows; ++i) {
-    const double nx = RowSquaredNorm(xs.data() + i * d, d);
-    double* row = d2.data() + i * m;
-    for (std::size_t j = 0; j < m; ++j) {
-      row[j] = SquaredFromDot(nx, panel.sq_norms[j], row[j]);
-    }
-    std::size_t* row_cols = cols + i * s;
-    double* row_weights = weights + i * s;
-    SelectAnchorRow(row, m, s, row_cols, row_weights);
     // u = z·anchor_map in ascending-anchor order.
+    const std::size_t* row_cols = cols + i * s;
+    const double* row_weights = weights + i * s;
     double* u_row = u + i * u_stride;
     std::fill(u_row, u_row + k, 0.0);
     for (std::size_t r = 0; r < s; ++r) {

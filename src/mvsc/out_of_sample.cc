@@ -142,7 +142,7 @@ StatusOr<OutOfSampleModel> OutOfSampleModel::FitAnchor(AnchorModel model) {
   out.anchor_model_ = std::move(model);
   out.anchor_panels_.reserve(out.anchor_model_->views.size());
   for (const AnchorViewModel& view : out.anchor_model_->views) {
-    out.anchor_panels_.push_back(assign::PrepareAnchors(view.anchors));
+    out.anchor_panels_.push_back(graph::PrepareAnchors(view.anchors));
   }
   return out;
 }

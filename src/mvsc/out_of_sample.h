@@ -7,6 +7,7 @@
 
 #include "common/status.h"
 #include "data/dataset.h"
+#include "graph/anchors.h"
 #include "la/matrix.h"
 #include "mvsc/anchor_assign.h"
 #include "mvsc/anchor_unified.h"
@@ -46,8 +47,10 @@ class OutOfSampleModel {
   /// Fits the model from a completed anchor-mode solve
   /// (SolveUnifiedAnchors). Prediction then runs the nearest-anchor
   /// extension: per view, the new point builds its s-sparse anchor row
-  /// (the exact row rule of graph::BuildAnchorAffinity — s nearest anchors,
-  /// self-tuning bandwidth, ties to the smaller anchor index), maps it into
+  /// with graph::AnchorRowTile, the kernel graph::BuildAnchorAffinity runs
+  /// (s nearest anchors, self-tuning bandwidth, ties to the smaller anchor
+  /// index), so the row is bitwise the training row of the same
+  /// standardized point at every feature dimension; it maps that row into
   /// the reduced space through anchor_map, and the concatenated coordinates
   /// score against AnchorModel::assignment; ties in the final row-argmax
   /// keep the smaller cluster index, matching the training discretization.
@@ -57,11 +60,11 @@ class OutOfSampleModel {
   /// mvsc_out_of_sample_test pins this).
   ///
   /// Every row runs the one anchor-assignment kernel of
-  /// mvsc/anchor_assign.h (Gram-expansion distances on the GemmAdd kc grid,
-  /// the BuildAnchorAffinity row rule, ascending-column coordinate
-  /// accumulation, kc-blocked scoring), so a point's label does not depend
-  /// on the batch it arrives in, the tile grid, or the thread count.
-  /// FitAnchor packs each view's anchors once (assign::PrepareAnchors);
+  /// mvsc/anchor_assign.h (the training anchor-row kernel, ascending-column
+  /// coordinate accumulation, kc-blocked scoring), so a point's label does
+  /// not depend on the batch it arrives in, the tile grid, or the thread
+  /// count.
+  /// FitAnchor packs each view's anchors once (graph::PrepareAnchors);
   /// every Predict reads only that panel. It rejects a model with a NaN or
   /// Inf in any served array (anchors, anchor_map, standardization,
   /// assignment) — ModelSerializer's loader re-enters here.
@@ -107,7 +110,7 @@ class OutOfSampleModel {
   std::optional<AnchorModel> anchor_model_;
   /// Per view: ‖a_j‖² and the anchors packed for GemmAdd, derived from
   /// anchor_model_ at FitAnchor time — never serialized.
-  std::vector<assign::AnchorPanel> anchor_panels_;
+  std::vector<graph::AnchorPanel> anchor_panels_;
 };
 
 }  // namespace umvsc::mvsc

@@ -101,8 +101,8 @@ void StreamingUnifiedMVSC::ExtendRows(std::size_t first_row) {
   const std::size_t fresh = rows_ - first_row;
   for (ViewState& view : views_) {
     // Grow the flat model arrays by the fresh rows, then fill them with the
-    // anchor-assignment kernel — the serving row rule, bitwise equal to
-    // the batched training path.
+    // anchor-assignment kernel — the serving path, whose anchor rows are
+    // bitwise those of the batched training path at every feature dimension.
     const std::size_t d = view.dim;
     const std::size_t k = view.model.anchor_map.cols();
     const std::size_t at = view.z_cols.size() / s;
@@ -251,7 +251,7 @@ Status StreamingUnifiedMVSC::FullResolve(const std::string& reason,
     view.u.assign(fit->embedding.data(),
                   fit->embedding.data() + fit->embedding.size());
     view.model = std::move(fit->model);
-    view.anchor_panel = mvsc::assign::PrepareAnchors(view.model.anchors);
+    view.anchor_panel = graph::PrepareAnchors(view.model.anchors);
   }
 
   UMVSC_RETURN_IF_ERROR(SolveWindow(uopts, /*warm=*/false, out));

@@ -7,6 +7,7 @@
 
 #include "common/status.h"
 #include "data/dataset.h"
+#include "graph/anchors.h"
 #include "la/matrix.h"
 #include "mvsc/anchor_assign.h"
 #include "mvsc/anchor_unified.h"
@@ -136,7 +137,7 @@ class StreamingUnifiedMVSC {
     std::size_t dim = 0;             ///< raw feature count (fixed at batch 1)
     mvsc::AnchorViewModel model;     ///< frozen standardization, anchors,
                                      ///< and anchor_map (m × k_v)
-    mvsc::assign::AnchorPanel anchor_panel;  ///< ‖a_j‖², packed anchors
+    graph::AnchorPanel anchor_panel;  ///< ‖a_j‖², packed anchors
     std::vector<double> raw;         ///< stride dim — RAW rows (for re-solve)
     std::vector<std::size_t> z_cols; ///< stride s — anchor row indices
     std::vector<double> z_vals;      ///< stride s — anchor row weights

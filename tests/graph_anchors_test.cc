@@ -14,6 +14,7 @@
 #include <cstring>
 #include <new>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -22,7 +23,7 @@
 #include "common/rng.h"
 #include "graph/anchors.h"
 #include "graph/distance.h"
-#include "la/ops.h"
+#include "graph/tiled_select.h"
 
 namespace {
 
@@ -183,6 +184,61 @@ la::Matrix KmeansppRefineAnchors(const la::Matrix& x,
     }
   }
   return centers;
+}
+
+// graph::BuildAnchorAffinity before it ran the serving row kernel: a
+// scalar-chain Gram distance panel, BoundedTopK selection (ties to the
+// smaller index), then a separate weighting pass (bandwidth = s-th nearest
+// squared distance, Gaussian weights summed in rank order, reciprocal
+// normalize, insertion sort to ascending anchor order).
+la::CsrMatrix AnchorAffinity(const la::Matrix& x, const la::Matrix& anchors,
+                             std::size_t s) {
+  const std::size_t n = x.rows();
+  const std::size_t m = anchors.rows();
+  const std::size_t d = x.cols();
+  const la::Vector x_norms = RowSquaredNorms(x);
+  const la::Vector a_norms = RowSquaredNorms(anchors);
+  std::vector<std::size_t> offsets(n + 1);
+  for (std::size_t i = 0; i <= n; ++i) offsets[i] = i * s;
+  std::vector<std::size_t> cols(n * s);
+  std::vector<double> vals(n * s);
+  internal::BoundedTopK selector(s, /*largest=*/false);
+  for (std::size_t i = 0; i < n; ++i) {
+    selector.Reset();
+    for (std::size_t j = 0; j < m; ++j) {
+      double dot = 0.0;
+      for (std::size_t p = 0; p < d; ++p) dot += x(i, p) * anchors(j, p);
+      selector.Offer(std::max(0.0, x_norms[i] + a_norms[j] - 2.0 * dot), j);
+    }
+    std::size_t* c = cols.data() + i * s;
+    double* v = vals.data() + i * s;
+    for (std::size_t r = 0; r < s; ++r) {
+      c[r] = selector.index(r);
+      v[r] = selector.value(r);
+    }
+    const double sigma2 = std::max(v[s - 1], 1e-300);
+    double sum = 0.0;
+    for (std::size_t r = 0; r < s; ++r) {
+      v[r] = std::exp(-v[r] / sigma2);
+      sum += v[r];
+    }
+    const double inv = 1.0 / sum;
+    for (std::size_t r = 0; r < s; ++r) v[r] *= inv;
+    for (std::size_t r = 1; r < s; ++r) {
+      const std::size_t cr = c[r];
+      const double vr = v[r];
+      std::size_t q = r;
+      while (q > 0 && c[q - 1] > cr) {
+        c[q] = c[q - 1];
+        v[q] = v[q - 1];
+        --q;
+      }
+      c[q] = cr;
+      v[q] = vr;
+    }
+  }
+  return la::CsrMatrix::FromParts(n, m, std::move(offsets), std::move(cols),
+                                  std::move(vals));
 }
 
 }  // namespace reference
@@ -461,31 +517,47 @@ TEST(AnchorAffinityTest, NearestAnchorDefinitionMatchesBruteForce) {
   }
 }
 
-// The lane-blocked panel against the scalar Gram formula, entry for entry,
-// with m = 23 so every row runs a four-register group, a one-register group
-// and a three-column scalar tail.
-TEST(AnchorAffinityTest, CrossPanelMatchesScalarFormulaBitwise) {
-  const std::size_t n = 21;
+// The builder pinned against its pre-unification form (reference::
+// AnchorAffinity) for every d within one kc block, where the kernel's dot
+// is the plain ascending chain: Gaussian and integer-valued features (the
+// latter tie distances exactly), s from 1 up to m, an m that leaves a
+// partial register strip, several tile heights and thread counts.
+TEST(AnchorAffinityTest, MatchesThePreUnificationBuilderBitwise) {
+  const std::size_t n = 61;
   const std::size_t m = 23;
   for (std::size_t d : {std::size_t{1}, std::size_t{3}, std::size_t{8},
-                        std::size_t{300}}) {
-    SCOPED_TRACE(::testing::Message() << "d=" << d);
-    const la::Matrix x = ClusteredFeatures(n, d, 50 + d);
-    const la::Matrix y = ClusteredFeatures(m, d, 60 + d);
-    const la::Vector x_norms = RowSquaredNorms(x);
-    const la::Vector y_norms = RowSquaredNorms(y);
-    std::vector<double> panel((n - 2) * m);
-    CrossSquaredDistancePanel(x, x_norms, la::Transpose(y), y_norms, 2, n,
-                              panel.data());
-    for (std::size_t i = 2; i < n; ++i) {
-      for (std::size_t j = 0; j < m; ++j) {
-        double s = 0.0;
-        for (std::size_t p = 0; p < d; ++p) s += x(i, p) * y(j, p);
-        const double expected =
-            std::max(0.0, x_norms[i] + y_norms[j] - 2.0 * s);
-        const double got = panel[(i - 2) * m + j];
-        EXPECT_EQ(std::memcmp(&expected, &got, sizeof(double)), 0)
-            << "i=" << i << " j=" << j;
+                        std::size_t{64}, std::size_t{255}, std::size_t{256}}) {
+    for (bool tied : {false, true}) {
+      la::Matrix x = ClusteredFeatures(n, d, 70 + d);
+      if (tied) {
+        for (std::size_t i = 0; i < n * d; ++i) {
+          x.data()[i] = std::floor(std::fabs(x.data()[i])) - 2.0;
+        }
+      }
+      AnchorOptions selection;
+      selection.num_anchors = m;
+      selection.selection = AnchorSelection::kUniform;
+      StatusOr<la::Matrix> anchors = SelectAnchors(x, selection);
+      ASSERT_TRUE(anchors.ok());
+      for (std::size_t s : {std::size_t{1}, std::size_t{5}, m}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "d=" << d << " tied=" << tied << " s=" << s);
+        const la::CsrMatrix expected =
+            reference::AnchorAffinity(x, *anchors, s);
+        for (std::size_t threads :
+             {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+          ScopedNumThreads scoped(threads);
+          for (std::size_t tile : {std::size_t{1}, std::size_t{16},
+                                   std::size_t{128}}) {
+            AnchorGraphOptions options;
+            options.anchor_neighbors = s;
+            options.tile_rows = tile;
+            StatusOr<la::CsrMatrix> got =
+                BuildAnchorAffinity(x, *anchors, options);
+            ASSERT_TRUE(got.ok());
+            ExpectBitwiseEqual(expected, *got);
+          }
+        }
       }
     }
   }

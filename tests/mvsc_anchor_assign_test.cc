@@ -4,16 +4,26 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numeric>
 #include <vector>
 
+#include "common/parallel.h"
 #include "common/rng.h"
+#include "graph/anchors.h"
+#include "graph/distance.h"
 #include "la/gemm_kernel.h"
 #include "la/matrix.h"
 #include "la/ops.h"
 
 namespace umvsc::mvsc::assign {
 namespace {
+
+using graph::AnchorPanel;
+using graph::PrepareAnchors;
+using graph::RowSquaredNorm;
+using graph::SelectAnchorRow;
+using graph::SquaredFromDot;
 
 std::vector<double> RandomDoubles(std::size_t n, std::uint64_t seed) {
   Rng rng(seed);
@@ -67,8 +77,9 @@ TEST(AnchorAssignTest, OneRowPackedDotEqualsAGemmElement) {
 
 TEST(AnchorAssignTest, OneRowPackedDotEqualsPlainDotBelowTheBlockEdge) {
   // Inside one kc block the grid degenerates to the plain ascending dot —
-  // which is why serving distances equal the training-side scalar dots for
-  // every view with d <= la::kernel::kKc.
+  // which is why the anchor rows of every view with d <= la::kernel::kKc
+  // are bitwise those of the scalar-panel builder the graph layer used
+  // before (pinned in graph_anchors_test).
   for (std::size_t k : {std::size_t{200}, la::kernel::kKc}) {
     const std::vector<double> x = RandomDoubles(k, 5);
     const la::Matrix anchors = RandomMatrix(3, k, 6);
@@ -103,7 +114,7 @@ TEST(AnchorAssignTest, BlockedVecMatAddEqualsAMatMulRow) {
   }
 }
 
-// Reference re-implementation of graph::BuildAnchorAffinity's row rule,
+// Reference re-implementation of the anchor row rule,
 // written the straightforward way: full argsort by (distance, index),
 // bandwidth from the s-th nearest, Gaussian weights in rank order,
 // normalize, emit in ascending anchor order.
@@ -122,8 +133,8 @@ void ReferenceRow(const std::vector<double>& d2, std::size_t s,
     w[r] = std::exp(-d2[order[r]] / sigma2);
     sum += w[r];
   }
-  // Multiply by the reciprocal, as graph::BuildAnchorAffinity does — a
-  // divide would differ in the last bit.
+  // Multiply by the reciprocal, as graph::SelectAnchorRow does — a divide
+  // would differ in the last bit.
   const double inv = 1.0 / sum;
   for (std::size_t r = 0; r < s; ++r) w[r] *= inv;
   std::vector<std::size_t> rank(s);
@@ -234,6 +245,61 @@ TEST(AnchorAssignTest, AssignRowsGivesEachRowTheSameBitsAtEveryTileHeight) {
       }
       for (std::size_t t = 0; t < k; ++t) {
         EXPECT_EQ(one_u[t], u[i * k + t]) << "d " << d << " row " << i;
+      }
+    }
+  }
+}
+
+// Training, serving and streaming rows come from one kernel
+// (graph::AnchorRowTile), so BuildAnchorAffinity's rows and AssignRows' rows
+// of the same points agree bit for bit at every feature dimension — below,
+// at and past the kc block edge — at every training tile height and thread
+// count. Zero means and unit inverse stds make standardization the
+// identity, so both sides see the same standardized rows.
+TEST(AnchorAssignTest, TrainingAndServingRowsAgreeBitwiseAtEveryDimension) {
+  const std::size_t n = 150, m = 24, s = 5, k = 3;
+  for (std::size_t d : {std::size_t{1}, std::size_t{8}, std::size_t{255},
+                        std::size_t{256}, std::size_t{257}, std::size_t{300},
+                        std::size_t{1024}}) {
+    SCOPED_TRACE(::testing::Message() << "d=" << d);
+    const la::Matrix x = RandomMatrix(n, d, 40 + d);
+    graph::AnchorOptions selection;
+    selection.num_anchors = m;
+    StatusOr<la::Matrix> anchors = graph::SelectAnchors(x, selection);
+    ASSERT_TRUE(anchors.ok());
+    AnchorViewModel view;
+    view.anchors = *anchors;
+    view.anchor_map = RandomMatrix(m, k, 41 + d);
+    view.feature_means = la::Vector(d, 0.0);
+    view.feature_inv_stds = la::Vector(d, 1.0);
+    const AnchorPanel panel = PrepareAnchors(view.anchors);
+    for (std::size_t threads :
+         {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+      ScopedNumThreads scoped(threads);
+      std::vector<std::size_t> cols(n * s);
+      std::vector<double> weights(n * s), u(n * k);
+      ForEachTile(n, [&](std::size_t begin, std::size_t end) {
+        AssignRows(view, panel, s, x.RowPtr(begin), end - begin,
+                   cols.data() + begin * s, weights.data() + begin * s,
+                   u.data() + begin * k, k);
+      });
+      for (std::size_t tile :
+           {std::size_t{1}, std::size_t{64}, std::size_t{128}}) {
+        graph::AnchorGraphOptions options;
+        options.anchor_neighbors = s;
+        options.tile_rows = tile;
+        StatusOr<la::CsrMatrix> z =
+            graph::BuildAnchorAffinity(x, view.anchors, options);
+        ASSERT_TRUE(z.ok());
+        ASSERT_EQ(z->values().size(), n * s);
+        EXPECT_EQ(std::memcmp(z->col_indices().data(), cols.data(),
+                              n * s * sizeof(std::size_t)),
+                  0)
+            << "threads=" << threads << " tile=" << tile;
+        EXPECT_EQ(std::memcmp(z->values().data(), weights.data(),
+                              n * s * sizeof(double)),
+                  0)
+            << "threads=" << threads << " tile=" << tile;
       }
     }
   }
