@@ -247,7 +247,7 @@ StatusOr<la::CsrMatrix> BuildAnchorAffinity(const la::Matrix& x,
         "BuildAnchorAffinity requires 1 <= anchor_neighbors <= anchors");
   }
 
-  const AnchorPanel panel = PrepareAnchors(anchors);
+  const PackedRows packed = PackRows(anchors);
   const std::size_t tile = std::max<std::size_t>(1, options.tile_rows);
   std::vector<std::size_t> row_offsets(n + 1);
   for (std::size_t i = 0; i <= n; ++i) row_offsets[i] = i * s;
@@ -259,20 +259,12 @@ StatusOr<la::CsrMatrix> BuildAnchorAffinity(const la::Matrix& x,
   ParallelFor(0, n, tile, [&](std::size_t begin, std::size_t end) {
     for (std::size_t r0 = begin; r0 < end; r0 += tile) {
       const std::size_t r1 = std::min(r0 + tile, end);
-      AnchorRowTile(panel, s, x.RowPtr(r0), r1 - r0, cols.data() + r0 * s,
+      AnchorRowTile(packed, s, x.RowPtr(r0), r1 - r0, cols.data() + r0 * s,
                     vals.data() + r0 * s);
     }
   });
   return la::CsrMatrix::FromParts(n, m, std::move(row_offsets),
                                   std::move(cols), std::move(vals));
-}
-
-AnchorPanel PrepareAnchors(const la::Matrix& anchors) {
-  AnchorPanel panel;
-  panel.sq_norms = RowSquaredNorms(anchors);
-  panel.packed = la::kernel::PackB(anchors.rows(), anchors.cols(),
-                                   {anchors.data(), anchors.cols(), true});
-  return panel;
 }
 
 void SelectAnchorRow(const double* d2, std::size_t m, std::size_t s,
@@ -298,23 +290,15 @@ void SelectAnchorRow(const double* d2, std::size_t m, std::size_t s,
   WeightAnchorRow(s, cols, weights);
 }
 
-void AnchorRowTile(const AnchorPanel& panel, std::size_t s, const double* x,
+void AnchorRowTile(const PackedRows& anchors, std::size_t s, const double* x,
                    std::size_t rows, std::size_t* cols, double* weights) {
-  const std::size_t d = panel.packed.k;
-  const std::size_t m = panel.packed.n;
+  const std::size_t m = anchors.packed.n;
   // Per-thread scratch; capacity sticks across calls.
   static thread_local std::vector<double> d2;
-  d2.assign(rows * m, 0.0);
-  // The dot panel d2(i, j) = x_i·a_j against the packed anchors; the kernel
-  // picks its register tile by the row count.
-  la::kernel::GemmAdd({x, d, false}, panel.packed, d2.data(), m, 0, rows);
+  d2.resize(rows * m);
+  SquaredDistanceTile(anchors, x, rows, d2.data());
   for (std::size_t i = 0; i < rows; ++i) {
-    const double nx = RowSquaredNorm(x + i * d, d);
-    double* row = d2.data() + i * m;
-    for (std::size_t j = 0; j < m; ++j) {
-      row[j] = SquaredFromDot(nx, panel.sq_norms[j], row[j]);
-    }
-    SelectAnchorRow(row, m, s, cols + i * s, weights + i * s);
+    SelectAnchorRow(d2.data() + i * m, m, s, cols + i * s, weights + i * s);
   }
 }
 

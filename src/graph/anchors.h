@@ -1,12 +1,11 @@
 #ifndef UMVSC_GRAPH_ANCHORS_H_
 #define UMVSC_GRAPH_ANCHORS_H_
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 
 #include "common/status.h"
-#include "la/gemm_kernel.h"
+#include "graph/distance.h"
 #include "la/matrix.h"
 #include "la/sparse.h"
 #include "la/vector.h"
@@ -71,7 +70,7 @@ struct AnchorGraphOptions {
 /// Ties at the s-th distance keep the smaller anchor index; within a row,
 /// columns are stored in ascending anchor order.
 ///
-/// Packs the anchors once (PrepareAnchors) and runs AnchorRowTile over
+/// Packs the anchors once (PackRows) and runs AnchorRowTile over
 /// tile_rows-row tiles under ParallelFor, writing straight into the CSR
 /// arrays: peak auxiliary memory is O(tile_rows·m) per participating thread
 /// plus the O(n·s) output — never an n × m dense buffer. Every row is
@@ -82,25 +81,6 @@ struct AnchorGraphOptions {
 StatusOr<la::CsrMatrix> BuildAnchorAffinity(
     const la::Matrix& x, const la::Matrix& anchors,
     const AnchorGraphOptions& options = {});
-
-/// The per-view data every anchor-row call reads besides the rows: ‖a_j‖²
-/// per anchor (RowSquaredNorms) and the anchors packed once as the
-/// transposed B operand of la::kernel::GemmAdd (d × m). Derived from the
-/// anchors alone — rebuilt wherever they change, never serialized — and
-/// immutable, so concurrent calls share it.
-struct AnchorPanel {
-  la::Vector sq_norms;
-  la::kernel::PackedB packed;
-};
-
-/// Builds the AnchorPanel of an m × d anchor matrix.
-AnchorPanel PrepareAnchors(const la::Matrix& anchors);
-
-/// The Gram-expansion squared distance max(0, ‖x‖² + ‖a‖² − 2·x·a),
-/// clamped at zero.
-inline double SquaredFromDot(double nx, double na, double dot) {
-  return std::max(0.0, nx + na - 2.0 * dot);
-}
 
 /// The anchor row rule applied to one dense distance row: selects the s
 /// nearest of the m squared distances in `d2` (ascending distance, ties keep
@@ -114,16 +94,14 @@ void SelectAnchorRow(const double* d2, std::size_t m, std::size_t s,
 
 /// The one anchor-row kernel, which the training builder
 /// (BuildAnchorAffinity), serving (mvsc::assign::AssignRows) and the
-/// stream's row extension all run. For `rows` standardized rows of `x`
-/// (row-major, stride d = panel.packed.k): takes their dots with the m
-/// anchors (one GemmAdd against panel.packed, on its kc accumulation grid),
-/// turns them into Gram distances against panel.sq_norms with ‖x_i‖² from
-/// RowSquaredNorm, and runs SelectAnchorRow. Writes row i's s anchor
-/// columns and weights at cols/weights + i·s. The kernel gives a row the
-/// same bits in a one-row call as in a taller tile, so every row is a pure
-/// function of itself. Scratch (rows × m doubles) is per thread and reused.
-/// Requires 1 ≤ s ≤ m.
-void AnchorRowTile(const AnchorPanel& panel, std::size_t s, const double* x,
+/// stream's row extension all run: SquaredDistanceTile of `rows`
+/// standardized rows of `x` (row-major, stride d = anchors.packed.k)
+/// against the m packed anchors, then SelectAnchorRow on each distance row.
+/// Writes row i's s anchor columns and weights at cols/weights + i·s. A row
+/// gets the same bits in a one-row call as in a taller tile, so every row
+/// is a pure function of itself. Scratch (rows × m doubles) is per thread
+/// and reused. Requires 1 ≤ s ≤ m.
+void AnchorRowTile(const PackedRows& anchors, std::size_t s, const double* x,
                    std::size_t rows, std::size_t* cols, double* weights);
 
 }  // namespace umvsc::graph

@@ -4,32 +4,24 @@
 #include <cmath>
 
 #include "common/parallel.h"
-#include "la/ops.h"
 
 namespace umvsc::graph {
 
 namespace {
-// Row grain of the distance kernels: fine enough to spread paper-sized
-// problems across every core, coarse enough to amortize dispatch.
+// Row tile of PairwiseSquaredDistances: fine enough to spread paper-sized
+// problems across every core, tall enough for the GEMM's register tiles.
 constexpr std::size_t kRowGrain = 16;
 }  // namespace
 
 la::Matrix PairwiseSquaredDistances(const la::Matrix& x) {
   const std::size_t n = x.rows();
-  la::Matrix gram = la::OuterGram(x);  // itself row-parallel
+  const PackedRows packed = PackRows(x);
   la::Matrix d2(n, n);
-  // Expansion pass: iteration i writes d2(i, j>i) and the mirror d2(j>i, i)
-  // — every element exactly once, so row spans are write-disjoint and the
-  // result is bitwise identical at every thread count.
+  // Every row depends only on itself, so the row spans are write-disjoint
+  // and the matrix is bitwise identical at every thread count.
   ParallelFor(0, n, kRowGrain, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) {
-      const double gii = gram(i, i);
-      for (std::size_t j = i + 1; j < n; ++j) {
-        const double v = std::max(0.0, gii + gram(j, j) - 2.0 * gram(i, j));
-        d2(i, j) = v;
-        d2(j, i) = v;
-      }
-    }
+    SquaredDistanceTile(packed, x.RowPtr(lo), hi - lo, d2.RowPtr(lo));
+    for (std::size_t i = lo; i < hi; ++i) d2(i, i) = 0.0;
   });
   return d2;
 }
@@ -58,42 +50,29 @@ la::Vector RowSquaredNorms(const la::Matrix& x) {
   return norms;
 }
 
-void SquaredDistancePanel(const la::Matrix& x, const la::Vector& sq_norms,
-                          std::size_t r0, std::size_t r1, double* panel) {
-  const std::size_t n = x.rows();
-  const std::size_t d = x.cols();
-  for (std::size_t i = r0; i < r1; ++i) {
-    const double* ri = x.RowPtr(i);
-    const double ni = sq_norms[i];
-    double* prow = panel + (i - r0) * n;
-    for (std::size_t j = 0; j < n; ++j) {
-      if (j == i) {
-        prow[j] = 0.0;  // exact zero, as the dense path guarantees
-        continue;
-      }
-      const double* rj = x.RowPtr(j);
-      double s = 0.0;
-      for (std::size_t p = 0; p < d; ++p) s += ri[p] * rj[p];
-      prow[j] = std::max(0.0, ni + sq_norms[j] - 2.0 * s);
-    }
-  }
+PackedRows PackRows(const la::Matrix& rows) {
+  PackedRows packed;
+  packed.sq_norms = RowSquaredNorms(rows);
+  packed.packed = la::kernel::PackB(rows.rows(), rows.cols(),
+                                    {rows.data(), rows.cols(), true});
+  return packed;
 }
 
-la::Matrix CosineSimilarity(const la::Matrix& x) {
-  const std::size_t n = x.rows();
-  la::Matrix gram = la::OuterGram(x);
-  la::Vector norms(n);
-  for (std::size_t i = 0; i < n; ++i) norms[i] = std::sqrt(gram(i, i));
-  la::Matrix s(n, n);
-  ParallelFor(0, n, kRowGrain, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) {
-      for (std::size_t j = 0; j < n; ++j) {
-        const double denom = norms[i] * norms[j];
-        s(i, j) = denom > 0.0 ? gram(i, j) / denom : 0.0;
-      }
+void SquaredDistanceTile(const PackedRows& packed, const double* x,
+                         std::size_t rows, double* d2) {
+  const std::size_t d = packed.packed.k;
+  const std::size_t m = packed.packed.n;
+  // The dot panel d2(i, j) = x_i·r_j against the packed rows; the kernel
+  // picks its register tile by the row count.
+  std::fill(d2, d2 + rows * m, 0.0);
+  la::kernel::GemmAdd({x, d, false}, packed.packed, d2, m, 0, rows);
+  for (std::size_t i = 0; i < rows; ++i) {
+    const double nx = RowSquaredNorm(x + i * d, d);
+    double* row = d2 + i * m;
+    for (std::size_t j = 0; j < m; ++j) {
+      row[j] = SquaredFromDot(nx, packed.sq_norms[j], row[j]);
     }
-  });
-  return s;
+  }
 }
 
 }  // namespace umvsc::graph

@@ -57,20 +57,19 @@ StatusOr<la::Matrix> SelfTuningKernel(const la::Matrix& sq_dists,
   return w;
 }
 
-StatusOr<la::Vector> SelfTuningScales(const la::Matrix& x, std::size_t k,
-                                      std::size_t tile_rows) {
+StatusOr<la::Vector> SelfTuningScales(const PackedRows& packed,
+                                      const la::Matrix& x, std::size_t k) {
   const std::size_t n = x.rows();
   if (k < 1 || k >= n) {
     return Status::InvalidArgument("SelfTuningScales requires 1 <= k < n");
   }
-  const la::Vector sq_norms = RowSquaredNorms(x);
   // k smallest squared distances per row; the worst accepted value (rank
   // k − 1) is exactly the k-th order statistic the dense SelfTuningKernel
   // extracts with nth_element — same value, O(n·k) memory.
   internal::DirectedSelection nearest = internal::TiledSelect(
-      n, k, /*largest=*/false, tile_rows,
+      n, k, /*largest=*/false, internal::kTileRows,
       [&](std::size_t r0, std::size_t r1, double* panel) {
-        SquaredDistancePanel(x, sq_norms, r0, r1, panel);
+        SquaredDistanceTile(packed, x.RowPtr(r0), r1 - r0, panel);
       },
       /*negative_seen=*/nullptr);
   la::Vector scale(n);

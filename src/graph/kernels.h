@@ -4,6 +4,7 @@
 #include <cstddef>
 
 #include "common/status.h"
+#include "graph/distance.h"
 #include "la/matrix.h"
 #include "la/vector.h"
 
@@ -23,13 +24,15 @@ StatusOr<la::Matrix> SelfTuningKernel(const la::Matrix& sq_dists,
 
 /// The self-tuning bandwidths σ_i (distance from point i to its k-th
 /// nearest other point) computed straight from the n × d feature matrix in
-/// O(n·k + tile_rows·n) memory: squared distances are evaluated in
-/// tile_rows × n panels and each row feeds a bounded k-smallest selector.
-/// σ_i is bitwise identical to what SelfTuningKernel derives from the dense
-/// distance matrix. Requires 1 <= k < n. Tile-parallel and bitwise
-/// deterministic across thread counts and tile sizes.
-StatusOr<la::Vector> SelfTuningScales(const la::Matrix& x, std::size_t k,
-                                      std::size_t tile_rows = 128);
+/// O(n·k + n·d) memory: SquaredDistanceTile against `packed` =
+/// PackRows(x) fills fixed row tiles, and each row feeds a bounded
+/// k-smallest selector. σ_i is bitwise identical to what SelfTuningKernel
+/// derives from PairwiseSquaredDistances(x) at every feature dimension
+/// (graph_tiled_test SelfTuningScalesMatchDenseDefinition pins d = 300).
+/// Requires 1 <= k < n. Tile-parallel and bitwise deterministic across
+/// thread counts.
+StatusOr<la::Vector> SelfTuningScales(const PackedRows& packed,
+                                      const la::Matrix& x, std::size_t k);
 
 /// The median heuristic bandwidth: σ = median of nonzero pairwise distances.
 /// Returns an error when every pairwise distance is zero.

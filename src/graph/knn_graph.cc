@@ -182,8 +182,7 @@ la::CsrMatrix AdaptiveWeightsFromSelection(const DirectedSelection& sel,
 
 StatusOr<la::CsrMatrix> BuildKnnGraph(const la::Matrix& affinity,
                                       std::size_t k,
-                                      KnnSymmetrization symmetrization,
-                                      const TiledGraphOptions& tiling) {
+                                      KnnSymmetrization symmetrization) {
   if (!affinity.IsSquare()) {
     return Status::InvalidArgument("BuildKnnGraph requires a square affinity");
   }
@@ -195,7 +194,7 @@ StatusOr<la::CsrMatrix> BuildKnnGraph(const la::Matrix& affinity,
   // entry is inspected exactly once) instead of a serial O(n²) prescan.
   bool negative = false;
   DirectedSelection sel =
-      TiledSelect(n, k, /*largest=*/true, tiling.tile_rows,
+      TiledSelect(n, k, /*largest=*/true, internal::kTileRows,
                   DenseRowFiller(affinity), &negative);
   if (negative) {
     return Status::InvalidArgument("affinities must be nonnegative");
@@ -204,8 +203,7 @@ StatusOr<la::CsrMatrix> BuildKnnGraph(const la::Matrix& affinity,
 }
 
 StatusOr<la::CsrMatrix> BuildKnnGraphFromFeatures(
-    const la::Matrix& x, std::size_t k, KnnSymmetrization symmetrization,
-    const TiledGraphOptions& tiling) {
+    const la::Matrix& x, std::size_t k, KnnSymmetrization symmetrization) {
   const std::size_t n = x.rows();
   if (n < 2) {
     return Status::InvalidArgument(
@@ -214,14 +212,14 @@ StatusOr<la::CsrMatrix> BuildKnnGraphFromFeatures(
   if (k < 1 || k >= n) {
     return Status::InvalidArgument("BuildKnnGraph requires 1 <= k < n");
   }
-  StatusOr<la::Vector> scales = SelfTuningScales(x, k, tiling.tile_rows);
+  const PackedRows packed = PackRows(x);
+  StatusOr<la::Vector> scales = SelfTuningScales(packed, x, k);
   if (!scales.ok()) return scales.status();
-  const la::Vector sq_norms = RowSquaredNorms(x);
   const la::Vector& scale = *scales;
   // Fused panel: squared distances → self-tuning kernel values, identical
   // expression (and therefore bits) to SelfTuningKernel's dense fill.
   PanelFiller fill = [&](std::size_t r0, std::size_t r1, double* panel) {
-    SquaredDistancePanel(x, sq_norms, r0, r1, panel);
+    SquaredDistanceTile(packed, x.RowPtr(r0), r1 - r0, panel);
     for (std::size_t i = r0; i < r1; ++i) {
       double* prow = panel + (i - r0) * n;
       for (std::size_t j = 0; j < n; ++j) {
@@ -230,14 +228,13 @@ StatusOr<la::CsrMatrix> BuildKnnGraphFromFeatures(
     }
   };
   DirectedSelection sel = TiledSelect(n, k, /*largest=*/true,
-                                      tiling.tile_rows, fill,
+                                      internal::kTileRows, fill,
                                       /*negative_seen=*/nullptr);
   return SymmetrizeDirected(sel, symmetrization);
 }
 
 StatusOr<la::CsrMatrix> AdaptiveNeighborGraph(const la::Matrix& sq_dists,
-                                              std::size_t k,
-                                              const TiledGraphOptions& tiling) {
+                                              std::size_t k) {
   if (!sq_dists.IsSquare()) {
     return Status::InvalidArgument(
         "AdaptiveNeighborGraph requires a square distance matrix");
@@ -248,23 +245,23 @@ StatusOr<la::CsrMatrix> AdaptiveNeighborGraph(const la::Matrix& sq_dists,
         "AdaptiveNeighborGraph requires 1 <= k < n - 1");
   }
   DirectedSelection sel =
-      TiledSelect(n, k + 1, /*largest=*/false, tiling.tile_rows,
+      TiledSelect(n, k + 1, /*largest=*/false, internal::kTileRows,
                   DenseRowFiller(sq_dists), /*negative_seen=*/nullptr);
   return AdaptiveWeightsFromSelection(sel, k);
 }
 
 StatusOr<la::CsrMatrix> AdaptiveNeighborGraphFromFeatures(
-    const la::Matrix& x, std::size_t k, const TiledGraphOptions& tiling) {
+    const la::Matrix& x, std::size_t k) {
   const std::size_t n = x.rows();
   if (k < 1 || k + 1 >= n) {
     return Status::InvalidArgument(
         "AdaptiveNeighborGraph requires 1 <= k < n - 1");
   }
-  const la::Vector sq_norms = RowSquaredNorms(x);
+  const PackedRows packed = PackRows(x);
   DirectedSelection sel = TiledSelect(
-      n, k + 1, /*largest=*/false, tiling.tile_rows,
+      n, k + 1, /*largest=*/false, internal::kTileRows,
       [&](std::size_t r0, std::size_t r1, double* panel) {
-        SquaredDistancePanel(x, sq_norms, r0, r1, panel);
+        SquaredDistanceTile(packed, x.RowPtr(r0), r1 - r0, panel);
       },
       /*negative_seen=*/nullptr);
   return AdaptiveWeightsFromSelection(sel, k);

@@ -16,45 +16,34 @@ enum class KnnSymmetrization {
   kAverage,  ///< (W + Wᵀ)/2 on the union of selections
 };
 
-/// Tiling of the O(n·k)-memory graph construction core. The row range is
-/// cut into ⌈n / tile_rows⌉ fixed tiles; each participating thread owns a
-/// contiguous run of whole tiles and reuses ONE tile_rows × n score panel
-/// plus one bounded top-k workspace across its run. The tile grid depends
-/// only on (n, tile_rows) — never the thread count — so the emitted graph
-/// is bitwise identical at every thread count AND every tile size.
-struct TiledGraphOptions {
-  /// Rows per score panel. Peak panel memory per thread is
-  /// tile_rows × n × 8 bytes; 128 keeps that ≈ 20 MB even at n = 20000.
-  std::size_t tile_rows = 128;
-};
-
 /// Sparsifies a dense affinity matrix to the k strongest neighbors per node
 /// and symmetrizes. Diagonal entries are ignored (no self-loops). Requires
 /// a square nonnegative affinity and 1 <= k < n. A thin wrapper over the
 /// tiled selection core (the panels read rows of `affinity` directly), so
 /// it emits exactly the same graph as BuildKnnGraphFromFeatures does from
 /// raw features. Ties in affinity resolve to the smaller column index.
-/// Bitwise deterministic across thread counts and tile sizes.
+/// Bitwise deterministic across thread counts.
 StatusOr<la::CsrMatrix> BuildKnnGraph(
     const la::Matrix& affinity, std::size_t k,
-    KnnSymmetrization symmetrization = KnnSymmetrization::kUnion,
-    const TiledGraphOptions& tiling = {});
+    KnnSymmetrization symmetrization = KnnSymmetrization::kUnion);
 
 /// The fused O(n·k)-memory construction: self-tuning kernel + kNN
 /// sparsification straight from the n × d feature matrix, without ever
 /// materializing an n × n distance, kernel, or selection-mask matrix.
-/// Squared distances are evaluated in tile_rows × n panels via the Gram
-/// expansion (bitwise identical to graph::PairwiseSquaredDistances), the
-/// self-tuning scales σ_i come from a first tiled pass
-/// (graph::SelfTuningScales), and each panel row feeds the bounded top-k
-/// selector directly. Produces byte-for-byte the same CSR graph as
+/// x is packed once (PackRows); the self-tuning scales σ_i come from a
+/// first tiled pass (graph::SelfTuningScales) and the kernel values from a
+/// second, both filling row-tile panels with graph::SquaredDistanceTile —
+/// the kernel PairwiseSquaredDistances runs — and each panel row feeds the
+/// bounded top-k selector directly. Produces byte-for-byte the same CSR
+/// graph as
 ///   BuildKnnGraph(SelfTuningKernel(PairwiseSquaredDistances(x), k), k, s)
-/// at O(n·k + tile_rows·n) peak memory instead of O(n²).
+/// at every feature dimension and thread count (graph_tiled_test
+/// FromFeaturesMatchesDensePipelineAtEveryDimension pins d up to 1302), at
+/// O(n·k + n·d) peak memory instead of O(n²).
 /// Requires n >= 2 and 1 <= k < n.
 StatusOr<la::CsrMatrix> BuildKnnGraphFromFeatures(
     const la::Matrix& x, std::size_t k,
-    KnnSymmetrization symmetrization = KnnSymmetrization::kUnion,
-    const TiledGraphOptions& tiling = {});
+    KnnSymmetrization symmetrization = KnnSymmetrization::kUnion);
 
 /// Adaptive-neighbor graph (the probabilistic-neighbors closed form of
 /// Nie et al., CAN): row i gets weights over its k nearest neighbors
@@ -63,18 +52,19 @@ StatusOr<la::CsrMatrix> BuildKnnGraphFromFeatures(
 /// makes exactly k weights nonzero. Rows sum to 1; output is symmetrized
 /// with (W + Wᵀ)/2. Input: squared distances; requires 1 <= k < n − 1.
 /// Wrapper over the tiled core (ties resolve to the smaller index);
-/// bitwise deterministic across thread counts and tile sizes.
+/// bitwise deterministic across thread counts.
 StatusOr<la::CsrMatrix> AdaptiveNeighborGraph(const la::Matrix& sq_dists,
-                                              std::size_t k,
-                                              const TiledGraphOptions& tiling = {});
+                                              std::size_t k);
 
 /// Adaptive-neighbor graph straight from the n × d feature matrix in
-/// O(n·k) memory: squared-distance panels feed the bounded (k+1)-nearest
-/// selection directly — no dense distance matrix. Byte-identical to
-/// AdaptiveNeighborGraph(PairwiseSquaredDistances(x), k).
+/// O(n·k + n·d) memory: graph::SquaredDistanceTile panels against x packed
+/// once feed the bounded (k+1)-nearest selection directly — no dense
+/// distance matrix. Byte-identical to
+/// AdaptiveNeighborGraph(PairwiseSquaredDistances(x), k) at every feature
+/// dimension (pinned by the same graph_tiled_test case).
 /// Requires 1 <= k < n − 1.
 StatusOr<la::CsrMatrix> AdaptiveNeighborGraphFromFeatures(
-    const la::Matrix& x, std::size_t k, const TiledGraphOptions& tiling = {});
+    const la::Matrix& x, std::size_t k);
 
 }  // namespace umvsc::graph
 

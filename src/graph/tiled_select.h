@@ -70,6 +70,11 @@ class BoundedTopK {
   std::vector<std::size_t> idxs_;
 };
 
+/// Rows per score panel of the graph builders: peak panel memory per
+/// thread is kTileRows × n × 8 bytes, ≈ 20 MB at n = 20000. The output
+/// never depends on it.
+inline constexpr std::size_t kTileRows = 128;
+
 /// Fills `panel` — a row-major (r1 − r0) × n block — with the selection
 /// scores of rows [r0, r1). The filler is invoked from inside a parallel
 /// region and must be pure with respect to its output block.

@@ -65,9 +65,8 @@ Matrix Transpose(const Matrix& a);
 /// symmetric (both triangles come from identical arithmetic).
 Matrix Gram(const Matrix& a);
 
-/// Outer-product Gram A·Aᵀ. Row-parallel over the upper triangle (the hot
-/// kernel under PairwiseSquaredDistances); bitwise deterministic across
-/// thread counts.
+/// Outer-product Gram A·Aᵀ. Row-parallel over the upper triangle; bitwise
+/// deterministic across thread counts.
 Matrix OuterGram(const Matrix& a);
 
 /// Tr(Aᵀ · B) = Σ_ij A_ij·B_ij. Requires matching shapes.

@@ -44,7 +44,7 @@ void ForEachTile(std::size_t rows,
               });
 }
 
-void AssignRows(const AnchorViewModel& view, const graph::AnchorPanel& panel,
+void AssignRows(const AnchorViewModel& view, const graph::PackedRows& anchors,
                 std::size_t s, const double* raw, std::size_t rows,
                 std::size_t* cols, double* weights, double* u,
                 std::size_t u_stride) {
@@ -57,7 +57,7 @@ void AssignRows(const AnchorViewModel& view, const graph::AnchorPanel& panel,
     data::ApplyStandardizationRow(raw + i * d, d, view.feature_means,
                                   view.feature_inv_stds, xs.data() + i * d);
   }
-  graph::AnchorRowTile(panel, s, xs.data(), rows, cols, weights);
+  graph::AnchorRowTile(anchors, s, xs.data(), rows, cols, weights);
   for (std::size_t i = 0; i < rows; ++i) {
     // u = z·anchor_map in ascending-anchor order.
     const std::size_t* row_cols = cols + i * s;

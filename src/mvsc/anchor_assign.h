@@ -15,9 +15,9 @@
 // streaming solver's frozen-model extension — built from these primitives:
 //
 //   anchor row  graph::AnchorRowTile, the row kernel graph::BuildAnchorAffinity
-//               itself runs: Gram distances from one la::kernel::GemmAdd dot
-//               panel against the view's graph::AnchorPanel (anchors packed
-//               once per model), then graph::SelectAnchorRow (s nearest,
+//               itself runs: graph::SquaredDistanceTile against the view's
+//               graph::PackedRows (anchors packed once per model), then
+//               graph::SelectAnchorRow (s nearest,
 //               ties to the smaller index, self-tuning Gaussian weights in
 //               ascending anchor order). A served or streamed row is
 //               therefore bitwise the training row of the same standardized
@@ -59,12 +59,12 @@ void ForEachTile(std::size_t rows,
 /// The row-tile kernel. For `rows` raw rows of one view (row-major, stride
 /// d = view.anchors.cols()): standardizes them with the view's statistics,
 /// builds their s-sparse anchor rows with graph::AnchorRowTile, and
-/// accumulates u = z·anchor_map in ascending-anchor order. `panel` must be
-/// graph::PrepareAnchors(view.anchors). Writes row i's anchor columns and
+/// accumulates u = z·anchor_map in ascending-anchor order. `anchors` must be
+/// graph::PackRows(view.anchors). Writes row i's anchor columns and
 /// weights at cols/weights + i·s and its k_v = view.anchor_map.cols()
 /// coordinates at u + i·u_stride (overwritten, not added to). Scratch is per
 /// thread and reused.
-void AssignRows(const AnchorViewModel& view, const graph::AnchorPanel& panel,
+void AssignRows(const AnchorViewModel& view, const graph::PackedRows& anchors,
                 std::size_t s, const double* raw, std::size_t rows,
                 std::size_t* cols, double* weights, double* u,
                 std::size_t u_stride);

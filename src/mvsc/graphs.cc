@@ -29,19 +29,13 @@ la::CsrMatrix EnsureConnected(la::CsrMatrix affinity,
   for (std::size_t c : component) num_components = std::max(num_components, c + 1);
   if (num_components <= 1) return affinity;
 
-  // Distances on demand — bridging is the rare path, and recomputing a few
-  // rows beats holding an n × n matrix alive for the whole build. The
-  // expression matches graph::SquaredDistancePanel bit for bit, so the
-  // argmin scan picks the same bridge the dense implementation did.
-  const la::Vector sq_norms = graph::RowSquaredNorms(features);
-  const std::size_t dim = features.cols();
-  const auto sq_dist = [&](std::size_t i, std::size_t j) {
-    const double* ri = features.RowPtr(i);
-    const double* rj = features.RowPtr(j);
-    double s = 0.0;
-    for (std::size_t p = 0; p < dim; ++p) s += ri[p] * rj[p];
-    return std::max(0.0, sq_norms[i] + sq_norms[j] - 2.0 * s);
-  };
+  // Distances on demand, one row at a time — bridging is the rare path,
+  // and recomputing a few rows beats holding an n × n matrix alive for the
+  // whole build. graph::SquaredDistanceTile gives each entry the bits of
+  // graph::PairwiseSquaredDistances, so the argmin scan picks the same
+  // bridge the dense implementation would.
+  const graph::PackedRows packed = graph::PackRows(features);
+  std::vector<double> d2(features.rows());
 
   double min_weight = std::numeric_limits<double>::infinity();
   for (double v : affinity.values()) {
@@ -57,11 +51,11 @@ la::CsrMatrix EnsureConnected(la::CsrMatrix affinity,
     std::size_t bi = 0, bj = 0;
     for (std::size_t i = 0; i < component.size(); ++i) {
       if (component[i] != root) continue;
+      graph::SquaredDistanceTile(packed, features.RowPtr(i), 1, d2.data());
       for (std::size_t j = 0; j < component.size(); ++j) {
         if (component[j] == root) continue;
-        const double d = sq_dist(i, j);
-        if (d < best) {
-          best = d;
+        if (d2[j] < best) {
+          best = d2[j];
           bi = i;
           bj = j;
         }

@@ -7,6 +7,7 @@
 #include "common/strings.h"
 #include "data/standardize.h"
 #include "graph/distance.h"
+#include "graph/kernels.h"
 #include "mvsc/anchor_assign.h"
 
 namespace umvsc::mvsc {
@@ -58,22 +59,15 @@ StatusOr<OutOfSampleModel> OutOfSampleModel::Fit(
     ColumnStandardization(training.views[v], &means, &inv_stds);
     la::Matrix standardized =
         ApplyStandardization(training.views[v], means, inv_stds);
-    // Self-tuning bandwidth per training point: distance to its k-th NN.
-    la::Matrix sq = graph::PairwiseSquaredDistances(standardized);
-    la::Vector scales(n);
-    std::vector<double> row;
-    for (std::size_t i = 0; i < n; ++i) {
-      row.clear();
-      for (std::size_t j = 0; j < n; ++j) {
-        if (j != i) row.push_back(sq(i, j));
-      }
-      std::nth_element(row.begin(), row.begin() + (options.knn - 1), row.end());
-      scales[i] = std::sqrt(std::max(row[options.knn - 1], 1e-300));
-    }
+    // Self-tuning bandwidth per training point: distance to its k-th NN,
+    // by the same selection and distance kernel as the training graphs.
+    StatusOr<la::Vector> scales = graph::SelfTuningScales(
+        graph::PackRows(standardized), standardized, options.knn);
+    if (!scales.ok()) return scales.status();
     model.views_.push_back(std::move(standardized));
     model.feature_means_.push_back(std::move(means));
     model.feature_inv_stds_.push_back(std::move(inv_stds));
-    model.train_scales_.push_back(std::move(scales));
+    model.train_scales_.push_back(std::move(*scales));
   }
   return model;
 }
@@ -140,9 +134,9 @@ StatusOr<OutOfSampleModel> OutOfSampleModel::FitAnchor(AnchorModel model) {
   OutOfSampleModel out;
   out.num_clusters_ = model.num_clusters;
   out.anchor_model_ = std::move(model);
-  out.anchor_panels_.reserve(out.anchor_model_->views.size());
+  out.packed_anchors_.reserve(out.anchor_model_->views.size());
   for (const AnchorViewModel& view : out.anchor_model_->views) {
-    out.anchor_panels_.push_back(graph::PrepareAnchors(view.anchors));
+    out.packed_anchors_.push_back(graph::PackRows(view.anchors));
   }
   return out;
 }
@@ -182,7 +176,7 @@ StatusOr<std::vector<std::size_t>> OutOfSampleModel::Predict(
           scores.resize(c);
           std::size_t base = 0;
           for (std::size_t v = 0; v < model.views.size(); ++v) {
-            assign::AssignRows(model.views[v], anchor_panels_[v], s,
+            assign::AssignRows(model.views[v], packed_anchors_[v], s,
                                batch.views[v].RowPtr(begin), rows, cols.data(),
                                weights.data(), coords.data() + base, p);
             base += model.views[v].anchor_map.cols();
@@ -216,32 +210,27 @@ StatusOr<std::vector<std::size_t>> OutOfSampleModel::Predict(
 
   // Fused affinity of each new point to every training point.
   la::Matrix fused(m, n);
+  la::Matrix d2(m, n);
+  std::vector<double> copy(n);
   for (std::size_t v = 0; v < views_.size(); ++v) {
     if (view_weights_[v] == 0.0) continue;
     la::Matrix x = ApplyStandardization(batch.views[v], feature_means_[v],
                                         feature_inv_stds_[v]);
-    const la::Matrix& train = views_[v];
+    // Squared distances from every new point to every training point: one
+    // tile of queries against the training rows, on the kernel the
+    // training graph and scales ran.
+    graph::SquaredDistanceTile(graph::PackRows(views_[v]), x.data(), m,
+                               d2.data());
     for (std::size_t i = 0; i < m; ++i) {
-      // Squared distances from new point i to all training points.
-      la::Vector d2(n);
-      const double* xi = x.RowPtr(i);
-      for (std::size_t t = 0; t < n; ++t) {
-        const double* tr = train.RowPtr(t);
-        double s = 0.0;
-        for (std::size_t j = 0; j < train.cols(); ++j) {
-          const double diff = xi[j] - tr[j];
-          s += diff * diff;
-        }
-        d2[t] = s;
-      }
       // Self-tuning bandwidth of the new point: its k-th NN distance.
-      std::vector<double> copy(d2.begin(), d2.end());
+      const double* row = d2.RowPtr(i);
+      copy.assign(row, row + n);
       std::nth_element(copy.begin(), copy.begin() + (k - 1), copy.end());
       const double own_scale = std::sqrt(std::max(copy[k - 1], 1e-300));
       double* out = fused.RowPtr(i);
       for (std::size_t t = 0; t < n; ++t) {
         out[t] += view_weights_[v] *
-                  std::exp(-d2[t] / (own_scale * train_scales_[v][t]));
+                  std::exp(-row[t] / (own_scale * train_scales_[v][t]));
       }
     }
   }

@@ -32,7 +32,10 @@ struct OutOfSampleOptions {
 /// weights α, and the training labels. A new point is connected to its k
 /// nearest training points per view with a self-tuning Gaussian affinity,
 /// the per-view affinities are fused with α, and the point takes the
-/// cluster with the largest fused affinity mass.
+/// cluster with the largest fused affinity mass. Every distance — the
+/// training scales (graph::SelfTuningScales) and a batch's distances to the
+/// training rows — comes from graph::SquaredDistanceTile, the kernel the
+/// exact-path training graphs run.
 class OutOfSampleModel {
  public:
   /// Fits the model from the training dataset, the labels produced by any
@@ -64,8 +67,8 @@ class OutOfSampleModel {
   /// coordinate accumulation, kc-blocked scoring), so a point's label does
   /// not depend on the batch it arrives in, the tile grid, or the thread
   /// count.
-  /// FitAnchor packs each view's anchors once (graph::PrepareAnchors);
-  /// every Predict reads only that panel. It rejects a model with a NaN or
+  /// FitAnchor packs each view's anchors once (graph::PackRows);
+  /// every Predict reads only those packed rows. It rejects a model with a NaN or
   /// Inf in any served array (anchors, anchor_map, standardization,
   /// assignment) — ModelSerializer's loader re-enters here.
   static StatusOr<OutOfSampleModel> FitAnchor(AnchorModel model);
@@ -110,7 +113,7 @@ class OutOfSampleModel {
   std::optional<AnchorModel> anchor_model_;
   /// Per view: ‖a_j‖² and the anchors packed for GemmAdd, derived from
   /// anchor_model_ at FitAnchor time — never serialized.
-  std::vector<graph::AnchorPanel> anchor_panels_;
+  std::vector<graph::PackedRows> packed_anchors_;
 };
 
 }  // namespace umvsc::mvsc

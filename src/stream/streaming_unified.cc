@@ -111,7 +111,7 @@ void StreamingUnifiedMVSC::ExtendRows(std::size_t first_row) {
     view.u.resize((at + fresh) * k);
     const double* raw = view.raw.data() + (head_ + first_row) * d;
     mvsc::assign::ForEachTile(fresh, [&](std::size_t begin, std::size_t end) {
-      mvsc::assign::AssignRows(view.model, view.anchor_panel, s,
+      mvsc::assign::AssignRows(view.model, view.packed_anchors, s,
                                raw + begin * d, end - begin,
                                view.z_cols.data() + (at + begin) * s,
                                view.z_vals.data() + (at + begin) * s,
@@ -251,7 +251,7 @@ Status StreamingUnifiedMVSC::FullResolve(const std::string& reason,
     view.u.assign(fit->embedding.data(),
                   fit->embedding.data() + fit->embedding.size());
     view.model = std::move(fit->model);
-    view.anchor_panel = graph::PrepareAnchors(view.model.anchors);
+    view.packed_anchors = graph::PackRows(view.model.anchors);
   }
 
   UMVSC_RETURN_IF_ERROR(SolveWindow(uopts, /*warm=*/false, out));

@@ -137,7 +137,7 @@ class StreamingUnifiedMVSC {
     std::size_t dim = 0;             ///< raw feature count (fixed at batch 1)
     mvsc::AnchorViewModel model;     ///< frozen standardization, anchors,
                                      ///< and anchor_map (m × k_v)
-    graph::AnchorPanel anchor_panel;  ///< ‖a_j‖², packed anchors
+    graph::PackedRows packed_anchors;  ///< ‖a_j‖², packed anchors
     std::vector<double> raw;         ///< stride dim — RAW rows (for re-solve)
     std::vector<std::size_t> z_cols; ///< stride s — anchor row indices
     std::vector<double> z_vals;      ///< stride s — anchor row weights

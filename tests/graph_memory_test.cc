@@ -108,7 +108,7 @@ TEST(GraphMemoryTest, TiledBuildNeverAllocatesAQuadraticBuffer) {
     EXPECT_TRUE(w->IsSymmetric(1e-12));
   }
   // The largest buffer the tiled path may hold is a per-thread
-  // tile_rows × n panel (default 128 rows: 1 MB at n = 1024) plus O(n·k)
+  // 128 × n panel (1 MB at n = 1024), the packed copy of x and O(n·k)
   // output arrays — nothing within a factor 2 of n² doubles.
   EXPECT_LT(tiled_peak, quadratic / 2)
       << "tiled build allocated " << tiled_peak << " bytes in one block";

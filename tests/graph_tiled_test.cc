@@ -1,8 +1,9 @@
 // Equivalence tests for the tiled O(n·k)-memory graph construction: the
 // feature-direct builders must emit CSR graphs BYTE-identical to the dense
-// distance → kernel → sparsify pipeline, at every tile size and every
-// thread count. Byte-identical means equal row offsets, equal column
-// indices, and bit-for-bit equal double values (memcmp, not tolerance).
+// distance → kernel → sparsify pipeline, at every feature dimension and
+// every thread count, and the selection core must not depend on its tile
+// height. Byte-identical means equal row offsets, equal column indices, and
+// bit-for-bit equal double values (memcmp, not tolerance).
 #include <algorithm>
 #include <cmath>
 #include <cstring>
@@ -16,6 +17,7 @@
 #include "graph/distance.h"
 #include "graph/kernels.h"
 #include "graph/knn_graph.h"
+#include "graph/tiled_select.h"
 
 namespace umvsc::graph {
 namespace {
@@ -42,10 +44,13 @@ void ExpectBitwiseEqual(const la::CsrMatrix& a, const la::CsrMatrix& b) {
             0);
 }
 
-// The dense reference pipeline the tiled builder replaces.
-la::CsrMatrix DenseKnnReference(const la::Matrix& x, std::size_t k,
-                                KnnSymmetrization sym) {
-  la::Matrix d2 = PairwiseSquaredDistances(x);
+constexpr KnnSymmetrization kAllSymmetrizations[] = {
+    KnnSymmetrization::kUnion, KnnSymmetrization::kMutual,
+    KnnSymmetrization::kAverage};
+
+// The dense pipeline over a given squared-distance matrix.
+la::CsrMatrix DenseKnn(const la::Matrix& d2, std::size_t k,
+                       KnnSymmetrization sym) {
   StatusOr<la::Matrix> kernel = SelfTuningKernel(d2, k);
   EXPECT_TRUE(kernel.ok());
   StatusOr<la::CsrMatrix> w = BuildKnnGraph(*kernel, k, sym);
@@ -53,35 +58,128 @@ la::CsrMatrix DenseKnnReference(const la::Matrix& x, std::size_t k,
   return *w;
 }
 
-TEST(TiledGraphTest, FromFeaturesMatchesDensePipeline) {
-  la::Matrix x = RandomFeatures(61, 4, 7);
-  for (KnnSymmetrization sym :
-       {KnnSymmetrization::kUnion, KnnSymmetrization::kMutual,
-        KnnSymmetrization::kAverage}) {
-    la::CsrMatrix dense = DenseKnnReference(x, 5, sym);
-    StatusOr<la::CsrMatrix> tiled = BuildKnnGraphFromFeatures(x, 5, sym);
+la::CsrMatrix DenseAdaptive(const la::Matrix& d2, std::size_t k) {
+  StatusOr<la::CsrMatrix> w = AdaptiveNeighborGraph(d2, k);
+  EXPECT_TRUE(w.ok());
+  return *w;
+}
+
+// Checks both feature-direct builders (every symmetrization) against the
+// dense pipeline over `d2`.
+void ExpectBuildersMatchDense(const la::Matrix& x, const la::Matrix& d2,
+                              std::size_t k) {
+  for (KnnSymmetrization sym : kAllSymmetrizations) {
+    SCOPED_TRACE(::testing::Message() << "sym=" << static_cast<int>(sym));
+    StatusOr<la::CsrMatrix> tiled = BuildKnnGraphFromFeatures(x, k, sym);
     ASSERT_TRUE(tiled.ok());
-    ExpectBitwiseEqual(dense, *tiled);
+    ExpectBitwiseEqual(DenseKnn(d2, k, sym), *tiled);
+  }
+  StatusOr<la::CsrMatrix> adaptive = AdaptiveNeighborGraphFromFeatures(x, k);
+  ASSERT_TRUE(adaptive.ok());
+  ExpectBitwiseEqual(DenseAdaptive(d2, k), *adaptive);
+}
+
+namespace reference {
+
+// The squared-distance matrix every feature-direct builder filled before
+// the shared tile kernel: one scalar dot chain in ascending feature order
+// per pair, clamped Gram expansion with RowSquaredNorms, exact zero
+// diagonal. With the dense wrappers it reproduces those builders bit for
+// bit (the selection, kernel expression and symmetrization are shared).
+la::Matrix ScalarPanelSquaredDistances(const la::Matrix& x) {
+  const std::size_t n = x.rows();
+  const std::size_t d = x.cols();
+  const la::Vector sq_norms = RowSquaredNorms(x);
+  la::Matrix d2(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      if (j == i) continue;
+      double s = 0.0;
+      for (std::size_t p = 0; p < d; ++p) s += x(i, p) * x(j, p);
+      d2(i, j) = std::max(0.0, sq_norms[i] + sq_norms[j] - 2.0 * s);
+    }
+  }
+  return d2;
+}
+
+}  // namespace reference
+
+// The builders and the dense pipeline share one distance kernel, so they
+// agree bitwise below, at and past the kc block edge (256) of the GEMM's
+// accumulation grid, at every thread count. 300 rows make three 128-row
+// tiles, so several threads own tiles.
+TEST(TiledGraphTest, FromFeaturesMatchesDensePipelineAtEveryDimension) {
+  const std::size_t n = 300, k = 7;
+  for (std::size_t d : {std::size_t{4}, std::size_t{255}, std::size_t{256},
+                        std::size_t{257}, std::size_t{300},
+                        std::size_t{1302}}) {
+    const la::Matrix x = RandomFeatures(n, d, 7 + d);
+    for (std::size_t threads :
+         {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+      SCOPED_TRACE(::testing::Message() << "d=" << d << " threads="
+                                        << threads);
+      ScopedNumThreads scoped(threads);
+      ExpectBuildersMatchDense(x, PairwiseSquaredDistances(x), k);
+    }
   }
 }
 
-TEST(TiledGraphTest, TileSizeDoesNotChangeTheGraph) {
-  la::Matrix x = RandomFeatures(53, 3, 11);
-  StatusOr<la::CsrMatrix> reference = BuildKnnGraphFromFeatures(x, 4);
-  ASSERT_TRUE(reference.ok());
-  for (std::size_t tile : {std::size_t{1}, std::size_t{7}, std::size_t{32},
-                           std::size_t{64}, std::size_t{4096}}) {
-    TiledGraphOptions tiling;
-    tiling.tile_rows = tile;
-    StatusOr<la::CsrMatrix> got =
-        BuildKnnGraphFromFeatures(x, 4, KnnSymmetrization::kUnion, tiling);
-    ASSERT_TRUE(got.ok()) << "tile=" << tile;
-    ExpectBitwiseEqual(*reference, *got);
+// Pin: wherever a view has d <= 256 the kernel's dot is the plain ascending
+// chain, so the builders keep the bits of the scalar-panel builders they
+// replaced — Gaussian and integer-valued features (the latter tie distances
+// exactly, exercising the smaller-index tie rule).
+TEST(TiledGraphTest, MatchesTheScalarPanelBuildersBitwise) {
+  const std::size_t n = 150, k = 5;
+  for (std::size_t d : {std::size_t{1}, std::size_t{3}, std::size_t{8},
+                        std::size_t{64}, std::size_t{255}, std::size_t{256}}) {
+    for (bool tied : {false, true}) {
+      la::Matrix x = RandomFeatures(n, d, 90 + d);
+      if (tied) {
+        for (std::size_t i = 0; i < n * d; ++i) {
+          x.data()[i] = std::floor(std::fabs(x.data()[i])) - 2.0;
+        }
+      }
+      const la::Matrix d2 = reference::ScalarPanelSquaredDistances(x);
+      for (std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
+        SCOPED_TRACE(::testing::Message() << "d=" << d << " tied=" << tied
+                                          << " threads=" << threads);
+        ScopedNumThreads scoped(threads);
+        ExpectBuildersMatchDense(x, d2, k);
+      }
+    }
+  }
+}
+
+// The selection core's tile grid is a pure function of (n, tile_rows) and
+// every row's selection a pure function of its panel row, so the tile
+// height never changes the selection.
+TEST(TiledGraphTest, TileSizeDoesNotChangeTheSelection) {
+  const la::Matrix x = RandomFeatures(53, 3, 11);
+  const PackedRows packed = PackRows(x);
+  const internal::PanelFiller fill = [&](std::size_t r0, std::size_t r1,
+                                         double* panel) {
+    SquaredDistanceTile(packed, x.RowPtr(r0), r1 - r0, panel);
+  };
+  for (bool largest : {false, true}) {
+    const internal::DirectedSelection reference =
+        internal::TiledSelect(53, 4, largest, internal::kTileRows, fill,
+                              /*negative_seen=*/nullptr);
+    for (std::size_t tile : {std::size_t{1}, std::size_t{7}, std::size_t{32},
+                             std::size_t{64}, std::size_t{4096}}) {
+      const internal::DirectedSelection got = internal::TiledSelect(
+          53, 4, largest, tile, fill, /*negative_seen=*/nullptr);
+      EXPECT_EQ(got.counts, reference.counts) << "tile=" << tile;
+      EXPECT_EQ(got.cols, reference.cols) << "tile=" << tile;
+      EXPECT_EQ(std::memcmp(got.vals.data(), reference.vals.data(),
+                            got.vals.size() * sizeof(double)),
+                0)
+          << "tile=" << tile;
+    }
   }
 }
 
 TEST(TiledGraphTest, ThreadCountDoesNotChangeTheGraph) {
-  la::Matrix x = RandomFeatures(47, 5, 13);
+  la::Matrix x = RandomFeatures(300, 5, 13);
   la::CsrMatrix reference;
   {
     ScopedNumThreads serial(1);
@@ -91,69 +189,45 @@ TEST(TiledGraphTest, ThreadCountDoesNotChangeTheGraph) {
   }
   for (std::size_t threads : {std::size_t{2}, std::size_t{5}, std::size_t{8}}) {
     ScopedNumThreads scoped(threads);
-    TiledGraphOptions tiling;
-    tiling.tile_rows = 8;  // several tiles per thread
-    StatusOr<la::CsrMatrix> got =
-        BuildKnnGraphFromFeatures(x, 6, KnnSymmetrization::kUnion, tiling);
+    StatusOr<la::CsrMatrix> got = BuildKnnGraphFromFeatures(x, 6);
     ASSERT_TRUE(got.ok()) << "threads=" << threads;
     ExpectBitwiseEqual(reference, *got);
   }
 }
 
-TEST(TiledGraphTest, DenseWrapperMatchesAcrossTilesAndThreads) {
-  la::Matrix x = RandomFeatures(40, 3, 17);
+TEST(TiledGraphTest, DenseWrapperMatchesAcrossThreads) {
+  la::Matrix x = RandomFeatures(300, 3, 17);
   la::Matrix d2 = PairwiseSquaredDistances(x);
   StatusOr<la::Matrix> kernel = SelfTuningKernel(d2, 4);
   ASSERT_TRUE(kernel.ok());
   StatusOr<la::CsrMatrix> reference = BuildKnnGraph(*kernel, 4);
   ASSERT_TRUE(reference.ok());
-  for (std::size_t tile : {std::size_t{3}, std::size_t{16}, std::size_t{128}}) {
-    for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      ScopedNumThreads scoped(threads);
-      TiledGraphOptions tiling;
-      tiling.tile_rows = tile;
-      StatusOr<la::CsrMatrix> got =
-          BuildKnnGraph(*kernel, 4, KnnSymmetrization::kUnion, tiling);
-      ASSERT_TRUE(got.ok());
-      ExpectBitwiseEqual(*reference, *got);
-    }
-  }
-}
-
-TEST(TiledGraphTest, AdaptiveFromFeaturesMatchesDense) {
-  la::Matrix x = RandomFeatures(45, 4, 19);
-  la::Matrix d2 = PairwiseSquaredDistances(x);
-  StatusOr<la::CsrMatrix> reference = AdaptiveNeighborGraph(d2, 7);
-  ASSERT_TRUE(reference.ok());
-  for (std::size_t tile : {std::size_t{1}, std::size_t{16}, std::size_t{512}}) {
-    for (std::size_t threads : {std::size_t{1}, std::size_t{6}}) {
-      ScopedNumThreads scoped(threads);
-      TiledGraphOptions tiling;
-      tiling.tile_rows = tile;
-      StatusOr<la::CsrMatrix> got =
-          AdaptiveNeighborGraphFromFeatures(x, 7, tiling);
-      ASSERT_TRUE(got.ok());
-      ExpectBitwiseEqual(*reference, *got);
-    }
+  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    ScopedNumThreads scoped(threads);
+    StatusOr<la::CsrMatrix> got = BuildKnnGraph(*kernel, 4);
+    ASSERT_TRUE(got.ok());
+    ExpectBitwiseEqual(*reference, *got);
   }
 }
 
 TEST(TiledGraphTest, SelfTuningScalesMatchDenseDefinition) {
-  la::Matrix x = RandomFeatures(37, 6, 23);
-  la::Matrix d2 = PairwiseSquaredDistances(x);
   const std::size_t k = 5;
-  StatusOr<la::Vector> scales = SelfTuningScales(x, k, /*tile_rows=*/9);
-  ASSERT_TRUE(scales.ok());
-  // Dense definition: σ_i = sqrt(k-th smallest squared distance to another
-  // point), exactly as SelfTuningKernel extracts it.
-  for (std::size_t i = 0; i < x.rows(); ++i) {
-    std::vector<double> row;
-    for (std::size_t j = 0; j < x.rows(); ++j) {
-      if (j != i) row.push_back(d2(i, j));
+  for (std::size_t d : {std::size_t{6}, std::size_t{300}}) {
+    la::Matrix x = RandomFeatures(37, d, 23);
+    la::Matrix d2 = PairwiseSquaredDistances(x);
+    StatusOr<la::Vector> scales = SelfTuningScales(PackRows(x), x, k);
+    ASSERT_TRUE(scales.ok());
+    // Dense definition: σ_i = sqrt(k-th smallest squared distance to another
+    // point), exactly as SelfTuningKernel extracts it.
+    for (std::size_t i = 0; i < x.rows(); ++i) {
+      std::vector<double> row;
+      for (std::size_t j = 0; j < x.rows(); ++j) {
+        if (j != i) row.push_back(d2(i, j));
+      }
+      std::nth_element(row.begin(), row.begin() + (k - 1), row.end());
+      const double expected = std::sqrt(std::max(row[k - 1], 1e-300));
+      EXPECT_EQ((*scales)[i], expected) << "d " << d << " row " << i;
     }
-    std::nth_element(row.begin(), row.begin() + (k - 1), row.end());
-    const double expected = std::sqrt(std::max(row[k - 1], 1e-300));
-    EXPECT_EQ((*scales)[i], expected) << "row " << i;
   }
 }
 
@@ -165,13 +239,20 @@ TEST(TiledGraphTest, NegativeAffinityStillRejected) {
     }
   }
   affinity(5, 2) = -0.25;
+  StatusOr<la::CsrMatrix> w = BuildKnnGraph(affinity, 2);
+  EXPECT_FALSE(w.ok());
+  EXPECT_NE(w.status().message().find("nonnegative"), std::string::npos);
+  // The check rides the selection pass, so every tile height sees it.
   for (std::size_t tile : {std::size_t{1}, std::size_t{4}, std::size_t{128}}) {
-    TiledGraphOptions tiling;
-    tiling.tile_rows = tile;
-    StatusOr<la::CsrMatrix> w =
-        BuildKnnGraph(affinity, 2, KnnSymmetrization::kUnion, tiling);
-    EXPECT_FALSE(w.ok());
-    EXPECT_NE(w.status().message().find("nonnegative"), std::string::npos);
+    bool negative = false;
+    internal::TiledSelect(
+        6, 2, /*largest=*/true, tile,
+        [&](std::size_t r0, std::size_t r1, double* panel) {
+          std::memcpy(panel, affinity.RowPtr(r0),
+                      (r1 - r0) * 6 * sizeof(double));
+        },
+        &negative);
+    EXPECT_TRUE(negative) << "tile=" << tile;
   }
 }
 

@@ -1,16 +1,105 @@
 #include <algorithm>
 #include <cmath>
+#include <numeric>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "la/jacobi_eigen.h"
 #include "la/ops.h"
 #include "la/sym_eigen.h"
 #include "test_util.h"
 
 namespace umvsc::la {
 namespace {
+
+// Test-local reference: the cyclic Jacobi eigensolver for symmetric
+// matrices. Slower than the tridiagonal pipeline (O(n³) with a larger
+// constant) but exceptionally accurate, and an implementation independent
+// of SymmetricEigen, which is what makes it an oracle for it. Eigenvalues
+// ascending, eigenvectors in matching columns.
+StatusOr<SymEigenResult> JacobiEigen(const Matrix& a) {
+  constexpr double kSymmetryTol = 1e-8;
+  constexpr int kMaxSweeps = 64;
+  if (!a.IsSquare()) {
+    return Status::InvalidArgument("JacobiEigen requires a square matrix");
+  }
+  const double scale = std::max(1.0, a.MaxAbs());
+  if (!a.IsSymmetric(kSymmetryTol * scale)) {
+    return Status::InvalidArgument("JacobiEigen requires a symmetric matrix");
+  }
+  const std::size_t n = a.rows();
+  Matrix m = a;
+  m.Symmetrize();
+  Matrix v = Matrix::Identity(n);
+
+  auto off_diagonal_norm = [&]() {
+    double s = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = i + 1; j < n; ++j) s += m(i, j) * m(i, j);
+    }
+    return std::sqrt(2.0 * s);
+  };
+
+  const double tol = 1e-14 * std::max(1.0, m.FrobeniusNorm());
+  bool converged = n < 2;
+  for (int sweep = 0; sweep < kMaxSweeps && !converged; ++sweep) {
+    for (std::size_t p = 0; p + 1 < n; ++p) {
+      for (std::size_t q = p + 1; q < n; ++q) {
+        const double apq = m(p, q);
+        if (std::fabs(apq) <= tol) continue;
+        const double app = m(p, p);
+        const double aqq = m(q, q);
+        // Rotation angle that zeroes m(p, q).
+        const double theta = 0.5 * (aqq - app) / apq;
+        const double t = (theta >= 0.0 ? 1.0 : -1.0) /
+                         (std::fabs(theta) + std::sqrt(theta * theta + 1.0));
+        const double c = 1.0 / std::sqrt(t * t + 1.0);
+        const double s = t * c;
+        // Apply J(p, q, θ)ᵀ · M · J(p, q, θ).
+        for (std::size_t k = 0; k < n; ++k) {
+          const double mkp = m(k, p);
+          const double mkq = m(k, q);
+          m(k, p) = c * mkp - s * mkq;
+          m(k, q) = s * mkp + c * mkq;
+        }
+        for (std::size_t k = 0; k < n; ++k) {
+          const double mpk = m(p, k);
+          const double mqk = m(q, k);
+          m(p, k) = c * mpk - s * mqk;
+          m(q, k) = s * mpk + c * mqk;
+        }
+        for (std::size_t k = 0; k < n; ++k) {
+          const double vkp = v(k, p);
+          const double vkq = v(k, q);
+          v(k, p) = c * vkp - s * vkq;
+          v(k, q) = s * vkp + c * vkq;
+        }
+      }
+    }
+    converged = off_diagonal_norm() <= tol * static_cast<double>(n);
+  }
+  if (!converged) {
+    return Status::NumericalError("Jacobi sweeps did not converge");
+  }
+
+  // Sort ascending.
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&](std::size_t x, std::size_t y) {
+    return m(x, x) < m(y, y);
+  });
+  SymEigenResult out;
+  out.eigenvalues = Vector(n);
+  out.eigenvectors = Matrix(n, n);
+  for (std::size_t j = 0; j < n; ++j) {
+    out.eigenvalues[j] = m(order[j], order[j]);
+    for (std::size_t i = 0; i < n; ++i) {
+      out.eigenvectors(i, j) = v(i, order[j]);
+    }
+  }
+  return out;
+}
 
 // Checks A·V = V·diag(λ) and VᵀV = I.
 void ExpectValidEigenDecomposition(const Matrix& a, const SymEigenResult& r,

@@ -19,8 +19,8 @@
 namespace umvsc::mvsc::assign {
 namespace {
 
-using graph::AnchorPanel;
-using graph::PrepareAnchors;
+using graph::PackedRows;
+using graph::PackRows;
 using graph::RowSquaredNorm;
 using graph::SelectAnchorRow;
 using graph::SquaredFromDot;
@@ -33,11 +33,11 @@ std::vector<double> RandomDoubles(std::size_t n, std::uint64_t seed) {
 }
 
 // The dot of a one-row call against packed anchors: a zero-initialized
-// one-row GemmAdd against PrepareAnchors' panel, which runs the kernel's
+// one-row GemmAdd against PackRows' panel, which runs the kernel's
 // 1×16 register route.
 std::vector<double> OneRowPackedDots(const std::vector<double>& x,
                                      const la::Matrix& anchors) {
-  const AnchorPanel panel = PrepareAnchors(anchors);
+  const PackedRows panel = PackRows(anchors);
   std::vector<double> dots(anchors.rows(), 0.0);
   la::kernel::GemmAdd({x.data(), anchors.cols(), false}, panel.packed,
                       dots.data(), anchors.rows(), 0, 1);
@@ -223,7 +223,7 @@ TEST(AnchorAssignTest, AssignRowsGivesEachRowTheSameBitsAtEveryTileHeight) {
     std::copy(map.begin(), map.end(), view.anchor_map.data());
     view.feature_means = la::Vector(d, 0.1);
     view.feature_inv_stds = la::Vector(d, 2.0);
-    const AnchorPanel panel = PrepareAnchors(view.anchors);
+    const PackedRows panel = PackRows(view.anchors);
     for (std::size_t j = 0; j < m; ++j) {
       EXPECT_EQ(panel.sq_norms[j], RowSquaredNorm(view.anchors.RowPtr(j), d));
     }
@@ -272,7 +272,7 @@ TEST(AnchorAssignTest, TrainingAndServingRowsAgreeBitwiseAtEveryDimension) {
     view.anchor_map = RandomMatrix(m, k, 41 + d);
     view.feature_means = la::Vector(d, 0.0);
     view.feature_inv_stds = la::Vector(d, 1.0);
-    const AnchorPanel panel = PrepareAnchors(view.anchors);
+    const PackedRows panel = PackRows(view.anchors);
     for (std::size_t threads :
          {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
       ScopedNumThreads scoped(threads);
